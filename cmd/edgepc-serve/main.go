@@ -11,7 +11,7 @@
 //	edgepc-serve -quick -workload W3 -frames 8          # laptop-scale smoke
 //	edgepc-serve -quick -degrade 2 -chaos-panic 0.1     # ladder + chaos drill
 //	edgepc-serve -quick -engines 4 -tenants 8 -qos-rate 50   # fleet router
-//	edgepc-serve -quick -backend int8                   # quantized inference kernels
+//	edgepc-serve -quick -backend blocked                # cache-blocked matmul kernel
 //	edgepc-serve -quick -chaos-stall 0.1 -stall-timeout 2ms  # watchdog drill
 //	edgepc-serve -quick -engines 3 -retries 2 -hedge 5ms     # survivable fleet
 //	edgepc-serve -quick -checkpoint ckpt.epck           # restore weights first
@@ -69,7 +69,7 @@ func main() {
 		clients  = flag.Int("clients", 4, "concurrent submitting clients")
 		seed     = flag.Int64("seed", 1, "model and frame seed")
 		quick    = flag.Bool("quick", false, "laptop-scale model and clouds (smoke mode)")
-		backend  = flag.String("backend", "", "compute backend for the inference kernels: naive | blocked | int8 (default naive)")
+		backend  = flag.String("backend", "", "compute backend for the inference matmuls: naive | blocked (default naive)")
 
 		degrade      = flag.Int("degrade", 0, fmt.Sprintf("degradation-ladder depth 0..%d (0: off)", pipeline.MaxDegradeTiers))
 		chaosPanic   = flag.Float64("chaos-panic", 0, "fault injection: fraction of frames that panic a worker")
@@ -107,22 +107,6 @@ func parseConfig(s string) (pipeline.ConfigKind, error) {
 		return pipeline.SNF, nil
 	}
 	return 0, fmt.Errorf("unknown config %q (want baseline, S+N or S+N+F)", s)
-}
-
-// tierName labels a DegradeTiers rung by the knob it adds.
-func tierName(i int) string {
-	switch i {
-	case 0:
-		return "W/2"
-	case 1:
-		return "W/2+int8"
-	case 2:
-		return "W/2+int8+bucketfps@0.5"
-	case 3:
-		return "W/2+int8+bucketfps@0.5+budget/2"
-	default:
-		return fmt.Sprintf("W/2+int8+bucketfps@0.5+budget/2+reuse+%d", i-3)
-	}
 }
 
 func run(workload, config, backend string, workers, queue, batch int, window, timeout time.Duration,
@@ -204,8 +188,9 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 			return pipeline.RebuildReplica(rows[0][0], w, kind, o)
 		},
 	}
+	labels := pipeline.DegradeLabels()
 	for i, row := range rows[1:] {
-		cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: tierName(i), Nets: row})
+		cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: labels[i], Nets: row})
 	}
 	if chaosPanic > 0 || chaosCorrupt > 0 || chaosStall > 0 {
 		cfg.Faults = &faultinject.Plan{Seed: chaosSeed, PanicFrac: chaosPanic, CorruptFrac: chaosCorrupt, StallFrac: chaosStall}
@@ -339,6 +324,7 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 			return fmt.Errorf("-checkpoint %q: %w", checkpoint, err)
 		}
 	}
+	labels := pipeline.DegradeLabels()
 	pool := make([]*serve.Engine, engines)
 	for e := range pool {
 		cfg := serve.Config{
@@ -356,7 +342,7 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 			},
 		}
 		for i, row := range fleet[e][1:] {
-			cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: tierName(i), Nets: row})
+			cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: labels[i], Nets: row})
 		}
 		if chaosPanic > 0 || chaosCorrupt > 0 || chaosStall > 0 {
 			cfg.Faults = &faultinject.Plan{Seed: chaosSeed + uint64(e),

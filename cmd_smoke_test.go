@@ -20,11 +20,11 @@ func TestCommandSmoke(t *testing.T) {
 		{"edgepc-info", []string{"run", "./cmd/edgepc", "info", "-gen", "sphere", "-points", "500"}, "points: 500"},
 		{"edgepc-sample", []string{"run", "./cmd/edgepc", "sample", "-gen", "sphere", "-points", "400", "-n", "40"}, "coverage radius"},
 		{"edgepc-bench-list", []string{"run", "./cmd/edgepc-bench", "-list"}, "fig13"},
-		{"edgepc-bench-list-backends", []string{"run", "./cmd/edgepc-bench", "-list-backends"}, "int8"},
+		{"edgepc-bench-list-backends", []string{"run", "./cmd/edgepc-bench", "-list-backends"}, "blocked"},
 		{"edgepc-bench-quick", []string{"run", "./cmd/edgepc-bench", "-quick", "table1"}, "W6"},
 		{"edgepc-bench-backend", []string{"run", "./cmd/edgepc-bench", "-quick", "-backend", "blocked", "fig3"}, "W6"},
 		{"edgepc-serve-quick", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W1", "-frames", "6", "-clients", "2", "-workers", "2"}, "served 6 frames"},
-		{"edgepc-serve-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "int8", "-workload", "W1", "-frames", "6", "-clients", "2", "-workers", "2"}, "compute backend: int8"},
+		{"edgepc-serve-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "blocked", "-workload", "W1", "-frames", "6", "-clients", "2", "-workers", "2"}, "compute backend: blocked"},
 		{"edgepc-serve-chaos", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W3", "-frames", "8", "-clients", "2", "-workers", "2", "-degrade", "1", "-chaos-panic", "0.2"}, "resilience:"},
 	}
 	for _, c := range cases {
@@ -58,8 +58,10 @@ func TestCommandSmokeFailures(t *testing.T) {
 		{"edgepc-serve-bad-degrade", []string{"run", "./cmd/edgepc-serve", "-quick", "-degrade", "9"}, "degrade must be"},
 		// A typo'd backend name must name the registered set, mirroring the
 		// RegisterArch error style.
-		{"edgepc-serve-bad-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "fp16"}, "no backend registered for \"fp16\" (registered: blocked, int8, naive)"},
-		{"edgepc-bench-bad-backend", []string{"run", "./cmd/edgepc-bench", "-quick", "-backend", "fp16", "fig3"}, "no backend registered for \"fp16\" (registered: blocked, int8, naive)"},
+		{"edgepc-serve-bad-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "fp16"}, "no backend registered for \"fp16\" (registered: blocked, naive)"},
+		// There is no quantized backend: -backend int8 fails like any unknown name.
+		{"edgepc-serve-int8-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "int8"}, "no backend registered for \"int8\" (registered: blocked, naive)"},
+		{"edgepc-bench-bad-backend", []string{"run", "./cmd/edgepc-bench", "-quick", "-backend", "fp16", "fig3"}, "no backend registered for \"fp16\" (registered: blocked, naive)"},
 	}
 	for _, c := range cases {
 		c := c

@@ -49,7 +49,8 @@ func BackendAlias(be tensor.Backend, a, b *tensor.Matrix) error {
 	return be.MatMulInto(a, a, b) // want `MatMulInto destination a aliases an input`
 }
 
-// BackendShapes mismatches constant shapes through a backend value.
+// BackendShapes mismatches constant shapes through a backend value and
+// through the package concat.
 func BackendShapes(be tensor.Backend) error {
 	a := tensor.New(4, 3)
 	b := tensor.New(3, 5)
@@ -60,5 +61,5 @@ func BackendShapes(be tensor.Backend) error {
 	c := tensor.New(4, 2)
 	d := tensor.New(4, 3)
 	fused := tensor.New(4, 4)
-	return be.ConcatInto(fused, c, d) // want `ConcatInto destination is 4x4 but \[a\|b\] is 4x5`
+	return tensor.ConcatInto(fused, c, d) // want `ConcatInto destination is 4x4 but \[a\|b\] is 4x5`
 }

@@ -40,7 +40,11 @@ func BackendProduct(be tensor.Backend) error {
 	return be.MatMulInto(out, a, b)
 }
 
-// BackendUnknown leaves runtime-shaped backend calls to the kernels' checks.
+// BackendUnknown leaves runtime-shaped calls, through the backend interface
+// or the package, to the kernels' checks.
 func BackendUnknown(be tensor.Backend, out, a, b *tensor.Matrix) error {
-	return be.MatMulBTInto(out, a, b)
+	if err := be.MatMulInto(out, a, b); err != nil {
+		return err
+	}
+	return tensor.MatMulBTInto(out, a, b)
 }

@@ -107,7 +107,7 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 				wsPut(wksp, grouped)
 			}
 			feats = wksp.Get(y.Rows/k, y.Cols)
-			if e = x.be.MaxPoolGroupsInto(feats, nil, y, k); e != nil {
+			if e = tensor.MaxPoolGroupsInto(feats, nil, y, k); e != nil {
 				return e
 			}
 			wsPut(wksp, y)
@@ -192,8 +192,8 @@ type DGCNNConfig struct {
 	// Dropout is the head dropout probability; 0 selects the default (0.3),
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
-	// Backend is the compute backend eval frames dispatch their kernels
-	// through (nil → the reference float32 kernels); see tensor.Backend.
+	// Backend is the compute backend eval frames dispatch their matmuls
+	// through (nil → the reference float32 kernel); see tensor.Backend.
 	Backend tensor.Backend
 	Seed    int64
 }

@@ -44,11 +44,6 @@ type Exec struct {
 	trace *Trace
 	train bool
 
-	// be is the frame's compute backend: the graph's configured backend on
-	// eval frames, always the reference (naive) kernels when training —
-	// gradients must see exact float32 numerics.
-	be tensor.Backend
-
 	// reuse carries neighbor indexes across stages under the graph's
 	// ReusePolicy; reset at each frame start.
 	reuse   *core.ReuseCache
@@ -75,10 +70,6 @@ type Exec struct {
 
 // Workspace returns the frame's inference workspace (nil when training).
 func (x *Exec) Workspace() *tensor.Workspace { return x.ws }
-
-// Backend returns the frame's compute backend (never nil: the reference
-// backend when none is configured or when training).
-func (x *Exec) Backend() tensor.Backend { return x.be }
 
 // Trace returns the frame's trace (possibly nil).
 func (x *Exec) Trace() *Trace { return x.trace }
@@ -153,8 +144,8 @@ type GraphSpec struct {
 	ExtraFeatDim int
 	// Reuse is the neighbor-index reuse policy shared by all stages.
 	Reuse core.ReusePolicy
-	// Backend selects the compute backend eval frames dispatch their kernels
-	// through (nil → the reference kernels). Training frames always run the
+	// Backend selects the compute backend eval frames dispatch their matmuls
+	// through (nil → the reference kernel). Training frames always run the
 	// reference kernels regardless.
 	Backend tensor.Backend
 }
@@ -232,15 +223,6 @@ func (g *Graph) workspace(train bool) *tensor.Workspace {
 	return g.ws
 }
 
-// backend resolves the compute backend for a frame: the configured backend on
-// eval frames, the reference kernels when training or unconfigured.
-func (g *Graph) backend(train bool) tensor.Backend {
-	if train || g.spec.Backend == nil {
-		return tensor.Naive()
-	}
-	return g.spec.Backend
-}
-
 // Forward runs one cloud through the compiled graph and returns logits
 // aligned with Output.Labels. Eval frames (train=false) serve all
 // intermediate activations from the per-graph workspace; the returned logits
@@ -254,7 +236,6 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	}
 	x := &g.x
 	x.ws = g.workspace(train)
-	x.be = g.backend(train)
 	x.trace = trace
 	x.train = train
 	x.levels = x.levels[:0]
@@ -284,7 +265,7 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 		perm = s.Perm
 		sorted = true
 	}
-	feats, err := inputFeatures(x.ws, x.be, pts, feat, featDim, g.spec.ExtraFeatDim)
+	feats, err := inputFeatures(x.ws, pts, feat, featDim, g.spec.ExtraFeatDim)
 	if err != nil {
 		return nil, err
 	}

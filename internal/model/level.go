@@ -67,11 +67,10 @@ func coordMatrix(ws *tensor.Workspace, pts []geom.Point3) *tensor.Matrix {
 
 // inputFeatures builds the level-0 feature matrix: coordinates, optionally
 // concatenated with the cloud's own per-point features (RGB, intensity, …),
-// whose width must match extraDim. The concat dispatches through the frame's
-// compute backend (be must be non-nil; Exec.Backend always is).
+// whose width must match extraDim.
 //
 //edgepc:hotpath
-func inputFeatures(ws *tensor.Workspace, be tensor.Backend, pts []geom.Point3, feat []float32, featDim, extraDim int) (*tensor.Matrix, error) {
+func inputFeatures(ws *tensor.Workspace, pts []geom.Point3, feat []float32, featDim, extraDim int) (*tensor.Matrix, error) {
 	coords := coordMatrix(ws, pts)
 	if extraDim == 0 {
 		return coords, nil
@@ -84,7 +83,7 @@ func inputFeatures(ws *tensor.Workspace, be tensor.Backend, pts []geom.Point3, f
 		return nil, err
 	}
 	fused := wsGet(ws, len(pts), coords.Cols+featDim)
-	if err := be.ConcatInto(fused, coords, extra); err != nil {
+	if err := tensor.ConcatInto(fused, coords, extra); err != nil {
 		return nil, err
 	}
 	wsPut(ws, coords)

@@ -194,7 +194,7 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 				wsPut(ws, grouped)
 			}
 			feats = ws.Get(y.Rows/k, y.Cols)
-			if e = x.be.MaxPoolGroupsInto(feats, nil, y, k); e != nil {
+			if e = tensor.MaxPoolGroupsInto(feats, nil, y, k); e != nil {
 				return e
 			}
 			wsPut(ws, y)
@@ -333,7 +333,7 @@ func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, laye
 		}
 		interpCols = interp.Cols
 		fused := wsGet(ws, fine.len(), interp.Cols+fine.feats.Cols)
-		if e = x.be.ConcatInto(fused, interp, fine.feats); e != nil {
+		if e = tensor.ConcatInto(fused, interp, fine.feats); e != nil {
 			return e
 		}
 		wsPut(ws, interp)
@@ -456,8 +456,8 @@ type PPConfig struct {
 	// Dropout is the head dropout probability; 0 selects the default (0.3),
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
-	// Backend is the compute backend eval frames dispatch their kernels
-	// through (nil → the reference float32 kernels); see tensor.Backend.
+	// Backend is the compute backend eval frames dispatch their matmuls
+	// through (nil → the reference float32 kernel); see tensor.Backend.
 	Backend tensor.Backend
 	Seed    int64
 }

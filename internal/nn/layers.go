@@ -45,9 +45,8 @@ func (l *Linear) backend() tensor.Backend {
 
 // Forward implements Layer. The x·W product is the layer's compute kernel and
 // the one place the backend choice matters: the eval path dispatches it
-// through the configured tensor.Backend (blocked tiles it, int8 quantizes and
-// dequantizes on exit), while the bias add stays an exact float32 row op in
-// every backend — the dequantized stage boundary.
+// through the configured tensor.Backend (blocked tiles it), while the bias add
+// is the package row op under every backend.
 //
 //edgepc:hotpath
 func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
@@ -66,7 +65,7 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linear %s: %w", l.W.Name, err)
 	}
-	if err := l.backend().AddBiasRows(y, l.B.Value.Data); err != nil {
+	if err := tensor.AddBiasRows(y, l.B.Value.Data); err != nil {
 		return nil, err
 	}
 	return y, nil

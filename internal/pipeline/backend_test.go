@@ -10,40 +10,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// Logit tolerances for the non-reference backends against the naive kernels
-// on the golden workloads.
+// blockedLogitTol is the blocked backend's logit tolerance against the naive
+// kernels on the golden workloads.
 //
 // The blocked backend preserves the naive per-cell accumulation order (one
 // accumulator per output cell, k ascending), so it is bit-identical except
 // for ±0 edge cases; 1e-5 is the documented contract, matching the tensor
 // property tests.
-//
-// The int8 bounds are empirical across all six Table-1 workloads at golden
-// scale in both configs (logit magnitudes are O(5–10) on these nets):
-//
-//   - PointNet++ (W1–W3): worst observed max-|Δlogit| ≈ 0.12 — 8-bit
-//     per-channel quantization holds logits to ~1e-1.
-//   - DGCNN (W4–W6): worst observed ≈ 2.5. The larger drift is structural,
-//     not a bug: the EC edge features concatenate [center, neighbor−center],
-//     and the difference half is small against the per-row activation scale
-//     set by the absolute coordinates, so its relative quantization error is
-//     high and compounds through the stacked EC modules.
-//
-// Both tolerances give ~2× headroom without masking a real regression (a
-// broken scale shows up as O(10)–O(100) drift). The metric that actually
-// matters — classification accuracy on trained weights — is pinned
-// separately, to ≤2pp, by the int8 accuracy-envelope test in internal/train.
-const (
-	blockedLogitTol = 1e-5
-	int8LogitTolPP  = 0.25
-	int8LogitTolDGC = 4.0
-)
+const blockedLogitTol = 1e-5
 
 // TestBackendNamesPinned pins the backend registry the serve ladder and the
-// cmd -backend flags depend on: exactly these three, in sorted order.
+// cmd -backend flags depend on: exactly these two, in sorted order.
 func TestBackendNamesPinned(t *testing.T) {
 	got := tensor.BackendNames()
-	want := []string{tensor.BackendBlocked, tensor.BackendInt8, tensor.BackendNaive}
+	want := []string{tensor.BackendBlocked, tensor.BackendNaive}
 	if len(got) != len(want) {
 		t.Fatalf("BackendNames() = %v, want %v", got, want)
 	}
@@ -64,7 +44,7 @@ func TestBuildRejectsUnknownBackend(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown backend accepted at Build")
 	}
-	for _, frag := range []string{"fp16", "registered:", tensor.BackendNaive, tensor.BackendBlocked, tensor.BackendInt8} {
+	for _, frag := range []string{"fp16", "registered:", tensor.BackendNaive, tensor.BackendBlocked} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("error %q does not mention %q", err, frag)
 		}
@@ -91,8 +71,8 @@ func maxLogitDiff(t *testing.T, a, b *tensor.Matrix) float64 {
 	return max
 }
 
-// TestGoldenBackendParity runs every golden workload × config under each
-// non-reference backend and compares eval logits against the naive build.
+// TestGoldenBackendParity runs every golden workload × config under the
+// blocked backend and compares eval logits against the naive build.
 // Deterministic weight init from Options.Seed means two nets built with the
 // same options hold identical weights, so any logit difference is purely the
 // backend's kernels. Together with TestGoldenLogits (which pins the naive
@@ -101,14 +81,6 @@ func TestGoldenBackendParity(t *testing.T) {
 	for _, w := range Workloads {
 		for _, kind := range []ConfigKind{Baseline, SN} {
 			w, kind := goldenScale(w), kind
-			int8Tol := int8LogitTolPP
-			if w.Arch == ArchDGCNN {
-				int8Tol = int8LogitTolDGC
-			}
-			tols := map[string]float64{
-				tensor.BackendBlocked: blockedLogitTol,
-				tensor.BackendInt8:    int8Tol,
-			}
 			t.Run(fmt.Sprintf("%s_%s", w.ID, kind), func(t *testing.T) {
 				ref, err := Build(w, kind, goldenOptions())
 				if err != nil {
@@ -122,31 +94,29 @@ func TestGoldenBackendParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, name := range []string{tensor.BackendBlocked, tensor.BackendInt8} {
-					opts := goldenOptions()
-					opts.Backend = name
-					net, err := Build(w, kind, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					out, err := net.Forward(cloud, nil, false)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					d := maxLogitDiff(t, refOut.Logits, out.Logits)
-					t.Logf("%s: max |Δlogit| = %g", name, d)
-					if d > tols[name] {
-						t.Fatalf("%s diverged from naive by %g (tolerance %g)", name, d, tols[name])
-					}
-					// Steady state: a second frame must not drift (the int8
-					// weight cache and activation scratch are now warm).
-					out2, err := net.Forward(cloud, nil, false)
-					if err != nil {
-						t.Fatalf("%s second frame: %v", name, err)
-					}
-					if d2 := maxLogitDiff(t, out.Logits, out2.Logits); d2 != 0 {
-						t.Fatalf("%s: second frame drifted by %g from the first", name, d2)
-					}
+				opts := goldenOptions()
+				opts.Backend = tensor.BackendBlocked
+				net, err := Build(w, kind, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := net.Forward(cloud, nil, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := maxLogitDiff(t, refOut.Logits, out.Logits)
+				t.Logf("blocked: max |Δlogit| = %g", d)
+				if d > blockedLogitTol {
+					t.Fatalf("blocked diverged from naive by %g (tolerance %g)", d, blockedLogitTol)
+				}
+				// Steady state: a second frame, on a warm workspace, must not
+				// drift.
+				out2, err := net.Forward(cloud, nil, false)
+				if err != nil {
+					t.Fatalf("second frame: %v", err)
+				}
+				if d2 := maxLogitDiff(t, out.Logits, out2.Logits); d2 != 0 {
+					t.Fatalf("second frame drifted by %g from the first", d2)
 				}
 			})
 		}
@@ -187,4 +157,3 @@ func benchFrameBackend(b *testing.B, backend string) {
 
 func BenchmarkPipelineFrameBackendNaive(b *testing.B)   { benchFrameBackend(b, tensor.BackendNaive) }
 func BenchmarkPipelineFrameBackendBlocked(b *testing.B) { benchFrameBackend(b, tensor.BackendBlocked) }
-func BenchmarkPipelineFrameBackendInt8(b *testing.B)    { benchFrameBackend(b, tensor.BackendInt8) }

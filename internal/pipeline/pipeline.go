@@ -129,12 +129,11 @@ type Options struct {
 	// ExtraFeatDim is the per-point input feature width beyond coordinates
 	// (pair with datasets that attach features, e.g. scene intensity).
 	ExtraFeatDim int
-	// Backend names the tensor.Backend eval frames dispatch their compute
-	// kernels through: "naive" (the reference float32 loops, the default),
-	// "blocked" (cache-blocked fp32 tiles), or "int8" (quantized inference).
-	// Builders resolve the name per net, so every replica owns a private
-	// backend instance. Unknown names fail at Build with the registered list.
-	// Training always runs the reference kernels regardless.
+	// Backend names the tensor.Backend eval frames dispatch their matmuls
+	// through: "naive" (the reference float32 loops, the default) or
+	// "blocked" (cache-blocked fp32 tiles). Unknown names fail at Build with
+	// the registered list. Training always runs the reference kernels
+	// regardless.
 	Backend string
 	Seed    int64
 }

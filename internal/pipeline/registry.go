@@ -69,10 +69,8 @@ func mortonStructurize(kind ConfigKind, opts Options) *core.StructurizeOptions {
 	return &core.StructurizeOptions{TotalBits: opts.TotalBits}
 }
 
-// resolveBackend turns Options.Backend into a fresh tensor.Backend instance
-// for one net. Fresh per net is deliberate: backends may keep per-instance
-// state (the int8 quantization cache and scratch), and serving runs one
-// replica — hence one backend — per worker goroutine.
+// resolveBackend turns Options.Backend into its shared, stateless
+// tensor.Backend.
 func resolveBackend(opts Options) (tensor.Backend, error) {
 	be, err := tensor.NewBackend(opts.Backend)
 	if err != nil {

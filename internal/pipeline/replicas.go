@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/sample"
-	"repro/internal/tensor"
 )
 
 // Replicas constructs n networks for the same workload/configuration whose
@@ -61,69 +60,73 @@ func RebuildReplica(ref Net, w Workload, kind ConfigKind, opts Options) (Net, er
 	return net, nil
 }
 
-// MaxDegradeTiers is the depth of the ladder DegradeTiers can derive.
-const MaxDegradeTiers = 5
-
-// DegradeTiers derives up to MaxDegradeTiers option presets for serve's
-// degradation ladder from a base configuration, exploiting the paper's own
+// degradeSteps is serve's degradation ladder, built from the paper's own
 // accuracy/latency knobs (§5, Fig. 15) plus the bucketed sampler's quality
-// knob and the quantized compute backend. The steps are cumulative:
+// knob. Rung i applies steps 0..i cumulatively, in this order:
 //
-//	tier 1: shrink the Morton neighbor window W to max(k, W/2)
-//	tier 2: + drop feature compute to the int8 backend (quantized matmuls,
-//	        dequantized at stage boundaries — a pure arithmetic cut that
-//	        keeps the sampling/search fidelity intact, so it slots in
-//	        before the rungs that change which points are looked at)
-//	tier 3: + step exact-FPS sampling sites onto bucketed pruned FPS at
-//	        quality 0.5 (half refinement picks, half stride seeds). Sites
-//	        already on the cheaper Morton stride are untouched, so the rung
-//	        only ever removes cost.
-//	tier 4: + halve the sample budget (PointNet++ SA SampleFrac; floor 0.05)
-//	tier 5: + raise the neighbor-reuse distance by one layer
+//	W/2            shrink the Morton neighbor window W to max(k, W/2)
+//	bucketfps@0.5  step exact-FPS sampling sites onto bucketed pruned FPS at
+//	               quality 0.5 (half refinement picks, half stride seeds);
+//	               sites already on the cheaper Morton stride are untouched,
+//	               so the rung only ever removes cost
+//	budget/2       halve the sample budget (PointNet++ SA SampleFrac; floor
+//	               0.05)
+//	reuse+1        raise the neighbor-reuse distance by one layer
 //
 // The knobs never change parameter shapes, so every tier's replicas share
-// weights with the base net (TieredReplicas) — the int8 rung quantizes
-// per-replica copies of the shared weights at first use, leaving the shared
-// float32 values untouched. Knobs a workload doesn't use (W under the
-// baseline config, SampleFrac on DGCNN) degrade gracefully to the previous
-// tier's cost.
+// weights with the base net (TieredReplicas), and no rung touches the compute
+// backend. Knobs a workload doesn't use (W under the baseline config,
+// SampleFrac on DGCNN) degrade gracefully to the previous tier's cost.
+var degradeSteps = [...]struct {
+	label string
+	apply func(w Workload, o *Options)
+}{
+	{"W/2", func(w Workload, o *Options) {
+		o.WindowW = max(o.WindowW/2, w.K)
+	}},
+	{"bucketfps@0.5", func(_ Workload, o *Options) {
+		o.SampleArch = sample.ArchBucketFPS
+		o.SampleQuality = 0.5
+	}},
+	{"budget/2", func(_ Workload, o *Options) {
+		o.SampleFrac = max(o.SampleFrac/2, 0.05)
+	}},
+	{"reuse+1", func(_ Workload, o *Options) {
+		o.ReuseDistance++
+		o.PPReuseDistance++
+	}},
+}
+
+// MaxDegradeTiers is the depth of the ladder DegradeTiers can derive.
+const MaxDegradeTiers = len(degradeSteps)
+
+// DegradeTiers derives the first min(n, MaxDegradeTiers) rungs of the
+// degradation ladder (degradeSteps) from a base configuration: tiers[i] is
+// the base options with steps 0..i applied.
 func DegradeTiers(w Workload, opts Options, n int) []Options {
 	if n < 1 {
 		return nil
 	}
-	if n > MaxDegradeTiers {
-		n = MaxDegradeTiers
-	}
 	opts.defaults(w)
-	tiers := make([]Options, 0, n)
-	cur := opts
-	cur.WindowW = cur.WindowW / 2
-	if cur.WindowW < w.K {
-		cur.WindowW = w.K
-	}
-	tiers = append(tiers, cur)
-	if len(tiers) < n {
-		cur.Backend = tensor.BackendInt8
-		tiers = append(tiers, cur)
-	}
-	if len(tiers) < n {
-		cur.SampleArch = sample.ArchBucketFPS
-		cur.SampleQuality = 0.5
-		tiers = append(tiers, cur)
-	}
-	if len(tiers) < n {
-		cur.SampleFrac = cur.SampleFrac / 2
-		if cur.SampleFrac < 0.05 {
-			cur.SampleFrac = 0.05
-		}
-		tiers = append(tiers, cur)
-	}
-	if len(tiers) < n {
-		cur.ReuseDistance++
-		cur.PPReuseDistance++
-		tiers = append(tiers, cur)
+	tiers := make([]Options, min(n, MaxDegradeTiers))
+	for i := range tiers {
+		degradeSteps[i].apply(w, &opts)
+		tiers[i] = opts
 	}
 	return tiers
+}
+
+// DegradeLabels names each rung of the DegradeTiers ladder, in order, by the
+// cumulative knobs it applies (e.g. "W/2+bucketfps@0.5").
+func DegradeLabels() []string {
+	labels := make([]string, MaxDegradeTiers)
+	for i, s := range degradeSteps {
+		labels[i] = s.label
+		if i > 0 {
+			labels[i] = labels[i-1] + "+" + s.label
+		}
+	}
+	return labels
 }
 
 // FleetReplicas builds the replica tensor for a multi-engine fleet:

@@ -78,35 +78,33 @@ func TestDegradeTiersAreCumulativeAndClamped(t *testing.T) {
 	if tiers[0].SampleArch != sample.ArchFPS {
 		t.Fatal("tier 1 must not touch the sampler arch yet")
 	}
-	if tiers[0].Backend != "" {
-		t.Fatal("tier 1 must not touch the compute backend yet")
+	if tiers[1].SampleArch != sample.ArchBucketFPS || tiers[1].SampleQuality != 0.5 {
+		t.Fatalf("tier 2 sampler %v@%v, want bucketfps@0.5", tiers[1].SampleArch, tiers[1].SampleQuality)
 	}
-	if tiers[1].Backend != tensor.BackendInt8 {
-		t.Fatalf("tier 2 backend %q, want %q", tiers[1].Backend, tensor.BackendInt8)
-	}
-	if tiers[1].SampleArch != sample.ArchFPS || tiers[1].SampleFrac != base.SampleFrac {
-		t.Fatal("tier 2 must not touch the sampler or budget yet")
+	if tiers[1].SampleFrac != base.SampleFrac {
+		t.Fatal("tier 2 must not touch the sample budget yet")
 	}
 	if tiers[1].WindowW != tiers[0].WindowW {
 		t.Fatal("tier 2 must keep tier 1's window (steps are cumulative)")
 	}
-	if tiers[2].SampleArch != sample.ArchBucketFPS || tiers[2].SampleQuality != 0.5 {
-		t.Fatalf("tier 3 sampler %v@%v, want bucketfps@0.5", tiers[2].SampleArch, tiers[2].SampleQuality)
+	if tiers[2].SampleFrac >= base.SampleFrac || tiers[2].SampleFrac < 0.05 {
+		t.Fatalf("tier 3 sample budget %v, want < %v with floor 0.05", tiers[2].SampleFrac, base.SampleFrac)
 	}
-	if tiers[2].SampleFrac != base.SampleFrac {
-		t.Fatal("tier 3 must not touch the sample budget yet")
+	if tiers[2].SampleArch != sample.ArchBucketFPS {
+		t.Fatal("tier 3 must keep tier 2's sampler arch (steps are cumulative)")
 	}
-	if tiers[2].Backend != tensor.BackendInt8 {
-		t.Fatal("tier 3 must keep tier 2's backend (steps are cumulative)")
+	if tiers[3].ReuseDistance != base.ReuseDistance+1 || tiers[3].PPReuseDistance != base.PPReuseDistance+1 {
+		t.Fatalf("tier 4 reuse %d/%d, want base+1", tiers[3].ReuseDistance, tiers[3].PPReuseDistance)
 	}
-	if tiers[3].SampleFrac >= base.SampleFrac || tiers[3].SampleFrac < 0.05 {
-		t.Fatalf("tier 4 sample budget %v, want < %v with floor 0.05", tiers[3].SampleFrac, base.SampleFrac)
+	// The ladder trades approximation knobs only: every rung keeps the base
+	// compute backend.
+	for i, tier := range DegradeTiers(w, Options{Backend: tensor.BackendBlocked}, MaxDegradeTiers) {
+		if tier.Backend != tensor.BackendBlocked {
+			t.Fatalf("tier %d backend %q, want the base %q", i+1, tier.Backend, tensor.BackendBlocked)
+		}
 	}
-	if tiers[3].SampleArch != sample.ArchBucketFPS {
-		t.Fatal("tier 4 must keep tier 3's sampler arch (steps are cumulative)")
-	}
-	if tiers[4].ReuseDistance != base.ReuseDistance+1 || tiers[4].PPReuseDistance != base.PPReuseDistance+1 {
-		t.Fatalf("tier 5 reuse %d/%d, want base+1", tiers[4].ReuseDistance, tiers[4].PPReuseDistance)
+	if labels := DegradeLabels(); len(labels) != len(tiers) {
+		t.Fatalf("%d ladder labels for %d rungs", len(labels), len(tiers))
 	}
 	if got := DegradeTiers(w, Options{}, 0); got != nil {
 		t.Fatalf("n=0 produced %d tiers", len(got))

@@ -80,7 +80,8 @@ var (
 // replica nets, one per worker. pipeline.TieredReplicas builds weight-sharing
 // rows ready to be wired here.
 type Tier struct {
-	// Name labels the tier in stats output (e.g. "W/2+budget/2").
+	// Name labels the tier in stats output (e.g. "W/2+bucketfps@0.5", from
+	// pipeline.DegradeLabels).
 	Name string
 	// Nets holds one replica per worker, sharing weights with the primary
 	// replicas but built with a cheaper approximation preset.

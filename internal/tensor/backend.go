@@ -2,102 +2,58 @@ package tensor
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Backend is a pluggable implementation of the destination-writing kernel set
-// the inference hot path dispatches through (the *Into family plus the
-// in-place row ops). Every implementation must honor the same contracts as
-// the package-level reference functions: identical shape/alias validation,
-// destinations fully overwritten, and no retained references to caller
+// Backend is a pluggable implementation of the one inference kernel whose
+// implementations differ: the eval-path a·b product of nn.Linear. Everything
+// else the hot path runs (gather, concat, pooling, bias) and the training
+// kernels are the package functions. An implementation must honor the
+// reference MatMulInto contract: identical shape/alias validation, the
+// destination fully overwritten, and no retained references to caller
 // buffers after the call returns — workspace buffers are recycled between
-// frames, so caching anything keyed on an *activation* matrix is a bug
-// (weights, which a backend may cache, live for the process).
+// frames.
 //
 // Numerics: the naive backend is the reference. blocked must stay within
 // 1e-5 of it element-wise (in practice it preserves the per-cell accumulation
-// order and is bit-identical); int8 is quantized and only promises the
-// documented logit tolerance plus the ≤2pp accuracy envelope. Training always
-// runs the reference kernels — backends are an inference-only axis.
+// order and is bit-identical). Training always runs the reference kernels —
+// backends are an inference-only axis.
 //
-// Concurrency: a Backend instance follows the Graph contract — one instance
-// per replica/goroutine. Stateless backends (naive, blocked) are safe to
-// share; int8 keeps per-instance scratch and must not be shared across
-// goroutines.
+// Concurrency: both backends are stateless, and NewBackend returns one shared
+// instance per name, safe for concurrent use by weight-sharing replicas.
 type Backend interface {
 	Name() string
 	MatMulInto(out, a, b *Matrix) error
-	MatMulBTInto(out, a, b *Matrix) error
-	MatMulATInto(out, a, b *Matrix) error
-	GatherInto(out, src *Matrix, idx []int) error
-	ScatterAdd(dst, src *Matrix, idx []int) error
-	MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) error
-	ConcatInto(out, a, b *Matrix) error
-	AddBiasRows(m *Matrix, bias []float32) error
 }
 
-// Registered backend names.
+// Backend names.
 const (
 	BackendNaive   = "naive"
 	BackendBlocked = "blocked"
-	BackendInt8    = "int8"
 )
 
 // DefaultBackend is the backend an empty selection resolves to.
 const DefaultBackend = BackendNaive
 
-// BackendFactory constructs a fresh Backend instance. NewBackend calls the
-// factory per request so every replica gets private state (the int8 backend
-// keeps quantization scratch; sharing it across goroutines would race).
-type BackendFactory func() Backend
-
-var backendFactories = map[string]BackendFactory{}
-
-// RegisterBackend installs a backend factory under name, replacing any
-// previous registration. New kernel implementations plug into the whole stack
-// (nn layers, the model executor, pipeline.Options, the serve ladder and the
-// cmd -backend flags) by registering here.
-func RegisterBackend(name string, f BackendFactory) {
-	if f == nil {
-		panic(fmt.Sprintf("tensor: RegisterBackend(%q) with nil factory", name))
-	}
-	backendFactories[name] = f
-}
-
-// NewBackend constructs a fresh instance of the named backend; the empty name
-// selects DefaultBackend. Unknown names produce an error listing what is
-// registered (mirroring pipeline.NewNet's unregistered-architecture error).
+// NewBackend returns the named backend; the empty name selects
+// DefaultBackend. Unknown names produce an error listing the known ones
+// (mirroring pipeline.NewNet's unregistered-architecture error).
 func NewBackend(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultBackend
+	switch name {
+	case "", BackendNaive:
+		return Naive(), nil
+	case BackendBlocked:
+		return Blocked(), nil
 	}
-	f, ok := backendFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("tensor: no backend registered for %q (registered: %s)", name, strings.Join(BackendNames(), ", "))
-	}
-	return f(), nil
+	return nil, fmt.Errorf("tensor: no backend registered for %q (registered: %s)", name, strings.Join(BackendNames(), ", "))
 }
 
-// BackendNames returns the registered backend names, sorted.
-func BackendNames() []string {
-	names := make([]string, 0, len(backendFactories))
-	for n := range backendFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// BackendNames returns the backend names, sorted.
+func BackendNames() []string { return []string{BackendBlocked, BackendNaive} }
 
-func init() {
-	RegisterBackend(BackendNaive, func() Backend { return Naive() })
-	RegisterBackend(BackendBlocked, func() Backend { return Blocked() })
-	RegisterBackend(BackendInt8, func() Backend { return NewInt8() })
-}
-
-// naiveBackend adapts the package-level reference kernels to the Backend
-// interface. It is stateless; Naive returns a shared instance, so dispatching
-// through it adds no per-call allocation and the default inference path stays
+// naiveBackend adapts the reference MatMulInto to the Backend interface. It
+// is stateless; Naive returns a shared instance, so dispatching through it
+// adds no per-call allocation and the default inference path stays
 // bit-identical to the pre-backend code (the golden fixtures pin this).
 type naiveBackend struct{}
 
@@ -110,27 +66,3 @@ func (naiveBackend) Name() string { return BackendNaive }
 
 //edgepc:hotpath
 func (naiveBackend) MatMulInto(out, a, b *Matrix) error { return MatMulInto(out, a, b) }
-
-//edgepc:hotpath
-func (naiveBackend) MatMulBTInto(out, a, b *Matrix) error { return MatMulBTInto(out, a, b) }
-
-// MatMulATInto is the weight-gradient kernel: training-only, and its parallel
-// reduction allocates per-worker partials, so it carries no hotpath contract.
-func (naiveBackend) MatMulATInto(out, a, b *Matrix) error { return MatMulATInto(out, a, b) }
-
-//edgepc:hotpath
-func (naiveBackend) GatherInto(out, src *Matrix, idx []int) error { return GatherInto(out, src, idx) }
-
-// ScatterAdd is the grouping adjoint: training-only, no hotpath contract.
-func (naiveBackend) ScatterAdd(dst, src *Matrix, idx []int) error { return ScatterAdd(dst, src, idx) }
-
-//edgepc:hotpath
-func (naiveBackend) MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) error {
-	return MaxPoolGroupsInto(out, argmax, grouped, k)
-}
-
-//edgepc:hotpath
-func (naiveBackend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }
-
-//edgepc:hotpath
-func (naiveBackend) AddBiasRows(m *Matrix, bias []float32) error { return AddBiasRows(m, bias) }

@@ -10,7 +10,7 @@ import (
 
 func TestBackendRegistry(t *testing.T) {
 	names := BackendNames()
-	want := []string{BackendBlocked, BackendInt8, BackendNaive}
+	want := []string{BackendBlocked, BackendNaive}
 	if len(names) != len(want) {
 		t.Fatalf("registered backends %v, want %v", names, want)
 	}
@@ -49,20 +49,6 @@ func TestBackendRegistry(t *testing.T) {
 	}
 }
 
-func TestInt8InstancesAreIndependent(t *testing.T) {
-	a, err := NewBackend(BackendInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBackend(BackendInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.(*Int8Backend) == b.(*Int8Backend) {
-		t.Fatal("NewBackend returned a shared int8 instance; replicas need private state")
-	}
-}
-
 // randomMatrix fills a rows×cols matrix from rng with values in [-2, 2).
 func randomMatrix(rows, cols int, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
@@ -89,8 +75,8 @@ func maxAbsDiff(a, b *Matrix) float64 {
 
 // TestQuickBlockedMatMulMatchesNaive is the satellite property test: across
 // random shapes — including ragged edges smaller than one 4×4 tile — the
-// blocked MatMul family stays within 1e-5 of the reference kernels. (The
-// tiled kernels preserve the per-cell accumulation order, so in practice the
+// blocked MatMul stays within 1e-5 of the reference kernel. (The
+// tiled kernel preserves the per-cell accumulation order, so in practice the
 // match is bit-exact; 1e-5 is the documented contract.)
 func TestQuickBlockedMatMulMatchesNaive(t *testing.T) {
 	be := Blocked()
@@ -114,173 +100,10 @@ func TestQuickBlockedMatMulMatchesNaive(t *testing.T) {
 			t.Logf("MatMul %dx%d · %dx%d diff %g", m, k, k, n, d)
 			return false
 		}
-		// a·bᵀ with b as n×k.
-		bt := randomMatrix(n, k, rng)
-		if err := MatMulBTInto(ref, a, bt); err != nil {
-			t.Fatal(err)
-		}
-		if err := be.MatMulBTInto(got, a, bt); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(ref, got); d > 1e-5 {
-			t.Logf("MatMulBT %dx%d · (%dx%d)ᵀ diff %g", m, k, n, k, d)
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestQuickInt8RoundTrip is the satellite property test: symmetric max-abs
-// quantization reconstructs every element of a channel to within scale/2.
-func TestQuickInt8RoundTrip(t *testing.T) {
-	f := func(seed int64, n8 uint8, span float64) bool {
-		n := int(n8) + 1
-		rng := rand.New(rand.NewSource(seed))
-		if span < 0 {
-			span = -span
-		}
-		span = span/2 + 0.01 // keep magnitudes sane and nonzero
-		src := make([]float32, n)
-		for i := range src {
-			src[i] = float32((rng.Float64()*2 - 1) * span)
-		}
-		q := make([]int8, n)
-		scale := QuantizeInt8(q, src)
-		back := make([]float32, n)
-		DequantizeInt8(back, q, scale)
-		bound := float64(scale) / 2
-		for i := range src {
-			d := float64(src[i] - back[i])
-			if d < 0 {
-				d = -d
-			}
-			// Allow one float32 ulp of slack on the exact half-scale bound.
-			if d > bound*(1+1e-6) {
-				t.Logf("n=%d scale=%g element %d: %g -> %g (err %g > %g)", n, scale, i, src[i], back[i], d, bound)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-	// The all-zero channel quantizes to scale 0 and reconstructs exactly.
-	q := make([]int8, 4)
-	if scale := QuantizeInt8(q, make([]float32, 4)); scale != 0 {
-		t.Fatalf("all-zero channel scale %g, want 0", scale)
-	}
-}
-
-// TestInt8MatMulWithinAnalyticBound checks the quantized matmul against the
-// reference with the per-element error bound implied by the quantization
-// scheme: each of the k partial products can be off by at most
-// sA/2·|b| + sB/2·|a| + sA·sB/4.
-func TestInt8MatMulWithinAnalyticBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, shape := range [][3]int{{1, 1, 1}, {5, 3, 4}, {17, 16, 9}, {64, 32, 48}, {33, 7, 5}} {
-		m, k, n := shape[0], shape[1], shape[2]
-		a := randomMatrix(m, k, rng)
-		b := randomMatrix(k, n, rng)
-		ref := New(m, n)
-		got := New(m, n)
-		if err := MatMulInto(ref, a, b); err != nil {
-			t.Fatal(err)
-		}
-		be := NewInt8()
-		if err := be.MatMulInto(got, a, b); err != nil {
-			t.Fatal(err)
-		}
-		// Recover the scales the backend used.
-		qRow := make([]int8, k)
-		colScale := make([]float32, n)
-		for j := 0; j < n; j++ {
-			var maxAbs float32
-			for r := 0; r < k; r++ {
-				v := b.At(r, j)
-				if v < 0 {
-					v = -v
-				}
-				if v > maxAbs {
-					maxAbs = v
-				}
-			}
-			colScale[j] = maxAbs / 127
-		}
-		for i := 0; i < m; i++ {
-			sA := float64(QuantizeInt8(qRow, a.Row(i)))
-			for j := 0; j < n; j++ {
-				sB := float64(colScale[j])
-				var bound float64
-				for kk := 0; kk < k; kk++ {
-					av, bv := float64(a.At(i, kk)), float64(b.At(kk, j))
-					if av < 0 {
-						av = -av
-					}
-					if bv < 0 {
-						bv = -bv
-					}
-					bound += sA/2*bv + sB/2*av + sA*sB/4
-				}
-				d := float64(got.At(i, j) - ref.At(i, j))
-				if d < 0 {
-					d = -d
-				}
-				if d > bound*(1+1e-5)+1e-7 {
-					t.Fatalf("%dx%dx%d cell (%d,%d): |%g - %g| = %g exceeds bound %g",
-						m, k, n, i, j, got.At(i, j), ref.At(i, j), d, bound)
-				}
-			}
-		}
-	}
-}
-
-// TestInt8WeightCacheReuse pins the calibration contract: the same weight
-// matrix is quantized once per backend instance, repeated calls agree
-// bit-exactly, and Invalidate forces a re-calibration after in-place edits.
-func TestInt8WeightCacheReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomMatrix(6, 8, rng)
-	w := randomMatrix(8, 5, rng)
-	be := NewInt8()
-	out1 := New(6, 5)
-	out2 := New(6, 5)
-	if err := be.MatMulInto(out1, a, w); err != nil {
-		t.Fatal(err)
-	}
-	if len(be.weights) != 1 {
-		t.Fatalf("cache holds %d entries after first call, want 1", len(be.weights))
-	}
-	if err := be.MatMulInto(out2, a, w); err != nil {
-		t.Fatal(err)
-	}
-	if len(be.weights) != 1 {
-		t.Fatalf("cache holds %d entries after second call, want 1", len(be.weights))
-	}
-	if !out1.Equal(out2) {
-		t.Fatal("repeated quantized matmul not deterministic")
-	}
-	// Mutating the weights in place without Invalidate serves stale codes by
-	// design; Invalidate re-calibrates.
-	for i := range w.Data {
-		w.Data[i] *= 2
-	}
-	be.Invalidate()
-	if len(be.weights) != 0 {
-		t.Fatalf("cache holds %d entries after Invalidate, want 0", len(be.weights))
-	}
-	if err := be.MatMulInto(out2, a, w); err != nil {
-		t.Fatal(err)
-	}
-	// Doubling the weights doubles every (max-abs) scale, so the quantized
-	// product doubles exactly.
-	for i, v := range out2.Data {
-		if want := out1.Data[i] * 2; v != want {
-			t.Fatalf("element %d after re-calibration: %g, want %g", i, v, want)
-		}
 	}
 }
 
@@ -299,9 +122,6 @@ func TestBackendValidationMatchesReference(t *testing.T) {
 		}
 		if err := be.MatMulInto(a, a, b); err == nil {
 			t.Fatalf("%s: aliased destination accepted", name)
-		}
-		if err := be.MatMulBTInto(New(2, 5), a, New(4, 3)); err == nil {
-			t.Fatalf("%s: bad BT destination shape accepted", name)
 		}
 		out := New(2, 4)
 		if err := be.MatMulInto(out, a, b); err != nil {
@@ -362,8 +182,7 @@ func benchBackendMatMul(b *testing.B, name string) {
 	x := benchMatrix(2048, 128, 1)
 	w := benchMatrix(128, 128, 2)
 	out := New(2048, 128)
-	// Warm-up: populates the int8 weight cache and activation scratch so the
-	// loop times the steady state.
+	// Warm-up, so the loop times the steady state.
 	if err := be.MatMulInto(out, x, w); err != nil {
 		b.Fatal(err)
 	}
@@ -378,4 +197,3 @@ func benchBackendMatMul(b *testing.B, name string) {
 
 func BenchmarkBackendMatMulNaive(b *testing.B)   { benchBackendMatMul(b, BackendNaive) }
 func BenchmarkBackendMatMulBlocked(b *testing.B) { benchBackendMatMul(b, BackendBlocked) }
-func BenchmarkBackendMatMulInt8(b *testing.B)    { benchBackendMatMul(b, BackendInt8) }

@@ -2,16 +2,13 @@ package tensor
 
 import "repro/internal/parallel"
 
-// blockedBackend is the cache-blocked fp32 backend: the MatMul family runs a
+// blockedBackend is the cache-blocked fp32 backend: MatMulInto runs a
 // register-tiled kernel (4 rows of a × 4 values of k per tile) that keeps the
 // per-cell accumulation order identical to the naive ikj loop — k strictly
 // ascending, one accumulator per output cell — so results match the reference
 // backend bit-for-bit while touching each output row a quarter as often. Rows
 // are distributed across workers with internal/parallel exactly like the
 // naive kernels, so the parallel split never changes numerics either.
-//
-// Data-movement kernels (gather/concat/pool/bias) and the training-only ops
-// have nothing to block over; they delegate to the reference implementations.
 //
 // Stateless and safe for concurrent use by weight-sharing replicas.
 type blockedBackend struct{}
@@ -103,104 +100,3 @@ func blockedMatMulRows(out, a, b *Matrix, lo, hi int) {
 		}
 	}
 }
-
-// MatMulBTInto computes a·bᵀ into out with a 4×4 output tile (16 register
-// accumulators streaming the shared k dimension once per tile). One
-// accumulator per cell, k ascending — bit-identical to the reference kernel.
-//
-//edgepc:hotpath
-func (blockedBackend) MatMulBTInto(out, a, b *Matrix) error {
-	if err := checkMatMulBT(out, a, b); err != nil {
-		return err
-	}
-	n := b.Rows
-	parallel.ForChunks(a.Rows, func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-			or0, or1, or2, or3 := out.Row(i), out.Row(i+1), out.Row(i+2), out.Row(i+3)
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				br0, br1, br2, br3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-				var s00, s01, s02, s03 float32
-				var s10, s11, s12, s13 float32
-				var s20, s21, s22, s23 float32
-				var s30, s31, s32, s33 float32
-				for k, a0 := range ar0 {
-					a1, a2, a3 := ar1[k], ar2[k], ar3[k]
-					v0, v1, v2, v3 := br0[k], br1[k], br2[k], br3[k]
-					s00 += a0 * v0
-					s01 += a0 * v1
-					s02 += a0 * v2
-					s03 += a0 * v3
-					s10 += a1 * v0
-					s11 += a1 * v1
-					s12 += a1 * v2
-					s13 += a1 * v3
-					s20 += a2 * v0
-					s21 += a2 * v1
-					s22 += a2 * v2
-					s23 += a2 * v3
-					s30 += a3 * v0
-					s31 += a3 * v1
-					s32 += a3 * v2
-					s33 += a3 * v3
-				}
-				or0[j], or0[j+1], or0[j+2], or0[j+3] = s00, s01, s02, s03
-				or1[j], or1[j+1], or1[j+2], or1[j+3] = s10, s11, s12, s13
-				or2[j], or2[j+1], or2[j+2], or2[j+3] = s20, s21, s22, s23
-				or3[j], or3[j+1], or3[j+2], or3[j+3] = s30, s31, s32, s33
-			}
-			for ; j < n; j++ {
-				br := b.Row(j)
-				var s0, s1, s2, s3 float32
-				for k, av := range ar0 {
-					bv := br[k]
-					s0 += av * bv
-					s1 += ar1[k] * bv
-					s2 += ar2[k] * bv
-					s3 += ar3[k] * bv
-				}
-				or0[j], or1[j], or2[j], or3[j] = s0, s1, s2, s3
-			}
-		}
-		for ; i < hi; i++ {
-			ar := a.Row(i)
-			or := out.Row(i)
-			for j := 0; j < n; j++ {
-				br := b.Row(j)
-				var sum float32
-				for k, av := range ar {
-					sum += av * br[k]
-				}
-				or[j] = sum
-			}
-		}
-	})
-	return nil
-}
-
-// The remaining kernels gain nothing from blocking; delegate to the
-// reference implementations (which are already row-parallel where it pays).
-
-func (blockedBackend) MatMulATInto(out, a, b *Matrix) error { return MatMulATInto(out, a, b) }
-
-//edgepc:hotpath
-func (blockedBackend) GatherInto(out, src *Matrix, idx []int) error {
-	return GatherInto(out, src, idx)
-}
-
-func (blockedBackend) ScatterAdd(dst, src *Matrix, idx []int) error {
-	return ScatterAdd(dst, src, idx)
-}
-
-//edgepc:hotpath
-func (blockedBackend) MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) error {
-	return MaxPoolGroupsInto(out, argmax, grouped, k)
-}
-
-//edgepc:hotpath
-func (blockedBackend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }
-
-//edgepc:hotpath
-func (blockedBackend) AddBiasRows(m *Matrix, bias []float32) error { return AddBiasRows(m, bias) }

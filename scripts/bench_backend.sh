@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Benchmark the three tensor compute backends (naive / blocked / int8) on the
-# Fig. 3 hot path and emit a machine-readable summary to BENCH_backend.json at
+# Benchmark the two tensor compute backends (naive / blocked) on the Fig. 3
+# hot path and emit a machine-readable summary to BENCH_backend.json at
 # the repository root: one record per benchmark with ns/op, bytes/op and
 # allocs/op. Two views per backend:
 #

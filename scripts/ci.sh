@@ -67,12 +67,12 @@ go test -run '^$' -fuzz '^FuzzLoadgenConfig$' -fuzztime 5s ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
 
 echo "== backend parity (golden suite under each compute backend) =="
-# The three compute backends are a contract: pin the registry by name so a
+# The two compute backends are a contract: pin the registry by name so a
 # renamed/removed backend fails loudly, run the golden-logit suite (naive
 # path, bit-exact fixtures) plus the cross-backend parity and property tests,
 # and exercise the per-block parallel MatMul under the race detector.
 backend_list=$(go run ./cmd/edgepc-bench -list-backends)
-for b in naive blocked int8; do
+for b in naive blocked; do
 	if ! printf '%s\n' "$backend_list" | grep -qx "$b"; then
 		echo "backend parity: backend '$b' missing from -list-backends" >&2
 		exit 1
@@ -80,7 +80,7 @@ for b in naive blocked int8; do
 done
 go test -run 'TestGolden' ./internal/pipeline/
 go test -race -run 'TestGoldenBackendParity|TestBackendNamesPinned|TestBuildRejectsUnknownBackend' ./internal/pipeline/
-go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference' ./internal/tensor/
+go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestBlockedBackendConcurrent|TestBackendRegistry|TestBackendValidationMatchesReference' ./internal/tensor/
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMatMulAT' -benchtime=1x -benchmem ./internal/tensor/
