@@ -241,19 +241,25 @@ func TestRunRetryRespectsDeadlineBudget(t *testing.T) {
 }
 
 // Hedging wins races against wedged workers, never exceeds its launch
-// budget, and hedge wins never exceed hedges launched.
+// budget, and hedge wins never exceed hedges launched. Hedges disengage
+// while the fleet sheds, so the goodput claim is checked at a load (¼ of
+// capacity) where the shed controller never engages.
 func TestRunHedgingWinsRaces(t *testing.T) {
+	const mult = 0.25
 	spec := Quick()
 	spec.StallFrac = 0.1
-	none, err := Run(spec, 1)
+	none, err := Run(spec, mult)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.HedgeDelay = time.Millisecond
 	spec.HedgeBudget = 1
-	m, err := Run(spec, 1)
+	m, err := Run(spec, mult)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if none.ShedRaises+m.ShedRaises != 0 {
+		t.Fatalf("shed controller engaged at %g× (%d/%d raises); the goodput check needs it off", mult, none.ShedRaises, m.ShedRaises)
 	}
 	if m.Hedged == 0 || m.HedgeWins == 0 {
 		t.Fatalf("hedging launched %d won %d; expected both > 0", m.Hedged, m.HedgeWins)
@@ -266,12 +272,47 @@ func TestRunHedgingWinsRaces(t *testing.T) {
 	}
 	capped := spec
 	capped.HedgeBudget = 0.01
-	c, err := Run(capped, 1)
+	c, err := Run(capped, mult)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if float64(c.Hedged) > 0.01*float64(c.Offered)+1 {
 		t.Fatalf("hedge budget 1%% of %d offered exceeded: %d hedges", c.Offered, c.Hedged)
+	}
+}
+
+// The hedge gate is serve.HedgePolicy.Allow: no hedge launches while the
+// shed controller is engaged. The quick survivability retry2+hedge spec at
+// 10× sheds for most of the run, so many hedge points fire while shedding;
+// every one of them must be refused.
+func TestSimLaunchesNoHedgeWhileShedding(t *testing.T) {
+	spec := Quick()
+	spec.StallFrac = 0.1
+	spec.StallTimeout = spec.SvcTiers[0]
+	spec.Retries = 2
+	spec.HedgeDelay = 2 * spec.SvcTiers[0]
+	spec.HedgeBudget = 0.1
+	s, err := newSim(spec, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.scheduleArrival()
+	refused := 0
+	for len(s.events) > 0 {
+		// Only arrivals move the shed level, so the level seen here is the
+		// one a hedge event at the heap top is gated on.
+		gated := s.events[0].kind == evHedge && s.shed.Level() > 0
+		before := s.counts.Hedged
+		s.step()
+		if gated {
+			if s.counts.Hedged != before {
+				t.Fatalf("hedge launched at %v while the shed controller was at level %d", time.Duration(s.now), s.shed.Level())
+			}
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no hedge point fired while shedding; the check exercised nothing")
 	}
 }
 
@@ -479,8 +520,10 @@ func TestBuildReport(t *testing.T) {
 	if rep.Crossover[0].GoodputFPS != rep.Scenarios[0].GoodputFPS {
 		t.Fatal("crossover and grid disagree at mult 1")
 	}
-	// The survivability sweep: one row per (multiplier, policy), retries and
-	// hedging buying goodput back at every multiplier.
+	// The survivability sweep: one row per (multiplier, policy), retries
+	// buying goodput back at every multiplier. Hedges disengage while the
+	// fleet sheds, which the quick fleet does throughout at 10×, so only the
+	// 1× row must launch any.
 	if len(rep.Survivability) != 2*3 {
 		t.Fatalf("survivability rows: %d, want 6", len(rep.Survivability))
 	}
@@ -496,7 +539,7 @@ func TestBuildReport(t *testing.T) {
 			t.Fatalf("retry policy bought no goodput: none %.4f retry %.4f (%d retried)",
 				none.GoodFrac, retry.GoodFrac, retry.Retried)
 		}
-		if hedge.Hedged == 0 {
+		if hedge.Mult == 1 && hedge.Hedged == 0 {
 			t.Fatalf("hedge policy launched no hedges: %+v", hedge)
 		}
 	}

@@ -41,9 +41,6 @@ type SpecSummary struct {
 	Workers     int         `json:"workers"`
 	QueueDepth  int         `json:"queue_depth"`
 	SvcUsTiers  []float64   `json:"svc_us_tiers"`
-	LadderHigh  float64     `json:"ladder_high"`
-	LadderLow   float64     `json:"ladder_low"`
-	LadderHyst  int         `json:"ladder_hyst"`
 	ShedHigh    float64     `json:"shed_high"`
 	ShedLow     float64     `json:"shed_low"`
 	ShedHyst    int         `json:"shed_hyst"`
@@ -120,9 +117,6 @@ func Summarize(spec Spec) SpecSummary {
 		Workers:     spec.Workers,
 		QueueDepth:  spec.queueDepth(),
 		SvcUsTiers:  svc,
-		LadderHigh:  spec.LadderHigh,
-		LadderLow:   spec.LadderLow,
-		LadderHyst:  spec.LadderHyst,
 		ShedHigh:    spec.ShedHigh,
 		ShedLow:     spec.ShedLow,
 		ShedHyst:    spec.ShedHyst,

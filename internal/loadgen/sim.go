@@ -11,19 +11,19 @@ import (
 
 // The discrete-event simulator. One goroutine, virtual nanosecond clock,
 // binary event heap with (time, sequence) ordering — every tie breaks the
-// same way on every run. The fleet *control plane* is the real thing: the
-// serve package's consistent-hash Ring, token-bucket QoS (on the virtual
-// clock) and hysteresis ShedController make every admit/shed decision;
-// only frame *execution* is modelled, as a per-tier service time drawn from
-// calibration or the spec, with the engine queue/worker/degradation-ladder
-// state machine mirroring serve.Engine's (same watermarks, same hysteresis
-// rule, same reject-don't-block queue).
+// same way on every run. Every policy decision is serve's own code: the
+// consistent-hash Ring, token-bucket QoS (on the virtual clock) and
+// ShedController decide admit/shed, each simulated engine's serve.Ladder
+// decides its tier, serve.HedgePolicy.Allow gates hedges and
+// serve.RetryPolicy.Next decides retries and their backoff. Only frame
+// *execution* is modelled: a bounded reject-don't-block queue, Workers
+// service slots, and a per-tier service time drawn from calibration or the
+// spec.
 //
-// With StallFrac > 0 the survivability layer engages (mirrors the stall
-// watchdog, serve.RetryPolicy and serve.HedgePolicy; DESIGN.md §15): a
+// With StallFrac > 0 the survivability layer engages (DESIGN.md §15): a
 // seeded per-dispatch draw wedges the attempt's worker until the modelled
-// watchdog reclaims it at StallTimeout; stalled frames are then retried on
-// the next ring candidate (deadline-budget-aware, up to Retries times) and
+// stall watchdog reclaims it at StallTimeout; a stalled primary is then
+// retried on the next ring candidate after the policy's backoff, and
 // optionally hedged — a duplicate attempt launched HedgeDelay after the
 // primary stalls, first completion wins, the loser is cancelled at pickup
 // or completes without counting. The stall draw is a pure hash of (seed,
@@ -36,6 +36,7 @@ const (
 	evComplete
 	evStallFree // watchdog reclaims a stalled attempt's worker
 	evHedge     // hedge launch point for a stalled frame
+	evRetry     // a stalled frame's retry backoff ends
 )
 
 // event is one heap entry. Completion events carry the frame's provenance;
@@ -127,25 +128,24 @@ type frameState struct {
 	hedged  bool
 }
 
-// simEngine mirrors serve.Engine's queue/worker/ladder state: a bounded
-// FIFO (reject-don't-block), Workers service slots, and the degradation
-// ladder's step-down-on-high-watermark / step-up-after-hysteresis rule.
+// simEngine models one serve.Engine: a bounded FIFO (reject-don't-block),
+// Workers service slots, and the engine's own degradation Ladder.
 type simEngine struct {
-	q         []qItem // circular buffer of capacity depth
-	head, n   int
-	depth     int
-	free      int // idle workers
-	tier      int
-	calm      int
-	stepDowns uint64
-	stepUps   uint64
+	q       []qItem // circular buffer of capacity depth
+	head, n int
+	depth   int
+	free    int // idle workers
+	ladder  *serve.Ladder
 }
 
 func (e *simEngine) fill() float64 { return float64(e.n) / float64(e.depth) }
 
+// push enqueues one attempt and lets the ladder see the new queue length,
+// as Engine.Submit does after every successful enqueue.
 func (e *simEngine) push(it qItem) {
 	e.q[(e.head+e.n)%e.depth] = it
 	e.n++
+	e.ladder.Enqueued(e.n)
 }
 
 func (e *simEngine) popq() qItem {
@@ -228,24 +228,20 @@ type sim struct {
 	cand    []int
 
 	// Survivability state (nil/zero unless StallFrac > 0).
-	surv        bool
-	frames      map[uint64]*frameState
-	nextFid     uint64
-	attemptSeq  uint64 // ordinal feeding the pure-hash stall draw
-	stallNs     int64  // resolved watchdog reclaim delay
-	hedgeNs     int64  // hedge launch delay; 0 disables hedging
-	hedgeBudget float64
-	wantCand    int   // ring candidates needed to cover spill + retries + hedge
-	cand2       []int // scratch for retry/hedge candidate recomputation
+	surv       bool
+	frames     map[uint64]*frameState
+	nextFid    uint64
+	attemptSeq uint64             // ordinal feeding the pure-hash stall draw
+	stallNs    int64              // resolved watchdog reclaim delay
+	retry      *serve.RetryPolicy // nil: no retries
+	hedge      serve.HedgePolicy  // Delay 0: no hedging
+	wantCand   int                // ring candidates needed to cover spill + retries + hedge
+	cand2      []int              // scratch for retry/hedge candidate recomputation
 
-	rateBase   float64 // spec rate × overload multiplier
-	xmCache    float64 // Pareto xm at the current effective rate
-	rateCache  float64
-	alpha      float64
-	maxTier    int
-	ladderHigh float64
-	ladderLow  float64
-	ladderHyst int
+	rateBase  float64 // spec rate × overload multiplier
+	xmCache   float64 // Pareto xm at the current effective rate
+	rateCache float64
+	alpha     float64
 
 	lat      []int64
 	classLat [numPriorities][]int64
@@ -299,27 +295,16 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 		cand:     make([]int, 0, spec.Engines),
 		rateBase: spec.EffectiveRate() * mult,
 		alpha:    spec.ParetoAlpha,
-		maxTier:  len(spec.SvcTiers) - 1,
 		prio:     make([]serve.Priority, spec.Tenants),
 		tOffered: make([]uint32, spec.Tenants),
 		tDone:    make([]uint32, spec.Tenants),
 	}
 	depth := spec.queueDepth()
 	for i := range s.engines {
-		s.engines[i] = simEngine{q: make([]qItem, depth), depth: depth, free: spec.Workers}
-	}
-	// Ladder parameters, defaulted exactly like serve.Config.
-	s.ladderHigh = spec.LadderHigh
-	if s.ladderHigh <= 0 {
-		s.ladderHigh = 0.75
-	}
-	s.ladderLow = spec.LadderLow
-	if s.ladderLow <= 0 || s.ladderLow >= s.ladderHigh {
-		s.ladderLow = s.ladderHigh / 3
-	}
-	s.ladderHyst = spec.LadderHyst
-	if s.ladderHyst <= 0 {
-		s.ladderHyst = 4
+		s.engines[i] = simEngine{
+			q: make([]qItem, depth), depth: depth, free: spec.Workers,
+			ladder: serve.NewLadder(len(spec.SvcTiers), depth),
+		}
 	}
 	s.shed = serve.NewShedController(serve.ShedConfig{
 		HighWatermark: spec.ShedHigh,
@@ -375,13 +360,12 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 		if s.stallNs <= 0 {
 			s.stallNs = 4 * int64(spec.SvcTiers[0])
 		}
-		s.hedgeNs = int64(spec.HedgeDelay)
-		s.hedgeBudget = spec.HedgeBudget
-		if s.hedgeBudget <= 0 {
-			s.hedgeBudget = 0.05
+		if spec.Retries > 0 {
+			s.retry = &serve.RetryPolicy{Max: spec.Retries, Seed: spec.Seed}
 		}
+		s.hedge = serve.HedgePolicy{Delay: spec.HedgeDelay, MaxFraction: spec.HedgeBudget}
 		s.wantCand = 1 + spec.Spill + spec.Retries
-		if s.hedgeNs > 0 {
+		if spec.HedgeDelay > 0 {
 			s.wantCand++
 		}
 	}
@@ -517,13 +501,6 @@ func (s *sim) arrive() {
 			}
 		}
 		e.push(qItem{arr: s.now, tenant: int32(tenant), prio: uint8(prio), fid: fid})
-		// Mirror serve.maybeStepDown: a successful enqueue past the high
-		// watermark steps the ladder down one tier.
-		if e.fill() >= s.ladderHigh && e.tier < s.maxTier {
-			e.tier++
-			e.calm = 0
-			e.stepDowns++
-		}
 		s.dispatch(id)
 		return
 	}
@@ -532,9 +509,9 @@ func (s *sim) arrive() {
 }
 
 // dispatch starts service on engine id while workers are idle and frames
-// queued, mirroring serve's at-pickup deadline drop. With the survivability
-// layer on it also draws per-attempt stalls and cancels queued losers of
-// already-resolved hedge races.
+// queued, dropping frames whose deadline passed at pickup as the engine
+// does. With the survivability layer on it also draws per-attempt stalls
+// and cancels queued losers of already-resolved hedge races.
 func (s *sim) dispatch(id int) {
 	e := &s.engines[id]
 	for e.free > 0 && e.n > 0 {
@@ -544,7 +521,7 @@ func (s *sim) dispatch(id int) {
 				// Loser attempt of a frame another attempt already resolved:
 				// the real router cancels it at pickup; drop without service.
 				s.resolveAttempt(it.fid, &s.counts.FailedStall)
-				s.observeCalm(e)
+				e.ladder.Observe(e.n)
 				continue
 			}
 		}
@@ -555,7 +532,7 @@ func (s *sim) dispatch(id int) {
 				s.counts.FailedDeadline++
 				s.classes[it.prio].Failed++
 			}
-			s.observeCalm(e)
+			e.ladder.Observe(e.n)
 			continue
 		}
 		e.free--
@@ -569,19 +546,19 @@ func (s *sim) dispatch(id int) {
 				at: s.now + s.stallNs, seq: s.seq, kind: evStallFree, prio: it.prio,
 				eng: int32(id), tenant: it.tenant, arr: it.arr, fid: it.fid, hedge: it.hedge,
 			})
-			if it.fid != 0 && s.hedgeNs > 0 && !it.hedge {
+			if it.fid != 0 && s.hedge.Delay > 0 && !it.hedge {
 				if fr := s.frames[it.fid]; fr != nil && !fr.hedged {
 					s.seq++
-					s.events.push(event{at: s.now + s.hedgeNs, seq: s.seq, kind: evHedge, fid: it.fid})
+					s.events.push(event{at: s.now + int64(s.hedge.Delay), seq: s.seq, kind: evHedge, fid: it.fid})
 				}
 			}
 			continue
 		}
-		svc := int64(s.spec.SvcTiers[e.tier])
+		tier := e.ladder.Tier()
 		s.seq++
 		s.events.push(event{
-			at: s.now + svc, seq: s.seq, kind: evComplete, prio: it.prio,
-			tier: int16(e.tier), eng: int32(id), tenant: it.tenant, arr: it.arr,
+			at: s.now + int64(s.spec.SvcTiers[tier]), seq: s.seq, kind: evComplete, prio: it.prio,
+			tier: int16(tier), eng: int32(id), tenant: it.tenant, arr: it.arr,
 			fid: it.fid, hedge: it.hedge,
 		})
 	}
@@ -628,51 +605,59 @@ func (s *sim) reenqueue(fr *frameState, fid uint64, hedge bool) int {
 		}
 		fr.candIdx = j + 1
 		e.push(qItem{arr: fr.arr, tenant: fr.tenant, prio: fr.prio, fid: fid, hedge: hedge})
-		if e.fill() >= s.ladderHigh && e.tier < s.maxTier {
-			e.tier++
-			e.calm = 0
-			e.stepDowns++
-		}
 		return cand[j]
 	}
 	return -1
 }
 
 // stallFree is the modelled watchdog firing: the wedged worker comes back,
-// and the stalled frame either retries on the next candidate (primary
-// attempts only, within the retry cap and the deadline budget — mirroring
-// serve.RetryPolicy's never-retry-past-the-budget rule) or resolves,
-// terminally failing as stall-failed if it was the last attempt.
+// and a stalled primary either schedules its retry after the backoff
+// serve.RetryPolicy.Next decides on the virtual clock, or resolves —
+// terminally failing as stall-failed if it was the frame's last attempt.
 func (s *sim) stallFree(ev event) {
-	e := &s.engines[ev.eng]
-	e.free++
-	fr := s.frames[ev.fid]
-	if ev.fid != 0 && fr != nil && !fr.done && !ev.hedge && fr.retries < s.spec.Retries &&
-		(s.spec.Deadline <= 0 || s.now-fr.arr < int64(s.spec.Deadline)) {
-		if id := s.reenqueue(fr, ev.fid, false); id >= 0 {
+	s.engines[ev.eng].free++
+	if fr := s.frames[ev.fid]; !fr.done && !ev.hedge && s.retry != nil {
+		var deadline time.Time
+		if s.spec.Deadline > 0 {
+			deadline = time.Unix(0, fr.arr+int64(s.spec.Deadline))
+		}
+		if d, ok := s.retry.Next(serve.ErrStalled, fr.retries, ev.fid, time.Unix(0, s.now), deadline); ok {
+			// The stalled attempt's pending slot carries over to the retry.
 			fr.retries++
-			s.counts.Retried++
-			s.dispatch(id)
+			s.seq++
+			s.events.push(event{at: s.now + int64(d), seq: s.seq, kind: evRetry, fid: ev.fid})
 			s.dispatch(int(ev.eng))
 			return
 		}
 	}
-	if ev.fid != 0 {
-		s.resolveAttempt(ev.fid, &s.counts.FailedStall)
-	}
+	s.resolveAttempt(ev.fid, &s.counts.FailedStall)
 	s.dispatch(int(ev.eng))
 }
 
-// hedgeFire launches the frame's hedge if it is still unresolved and the
-// hedge budget (HedgeBudget × offered, mirroring serve.HedgePolicy's
-// MaxFraction) has room. The hedge is a full attempt: it can stall, be
-// deadline-dropped, or win the race.
+// retryFire re-dispatches a stalled frame once its backoff ends, unless
+// another attempt resolved it meanwhile.
+func (s *sim) retryFire(ev event) {
+	fr := s.frames[ev.fid]
+	if !fr.done {
+		s.counts.Retried++
+		if id := s.reenqueue(fr, ev.fid, false); id >= 0 {
+			s.dispatch(id)
+			return
+		}
+	}
+	s.resolveAttempt(ev.fid, &s.counts.FailedStall)
+}
+
+// hedgeFire launches the frame's hedge if it is still unresolved and
+// serve.HedgePolicy.Allow passes: shed controller disengaged, hedge budget
+// not spent. The hedge is a full attempt: it can stall, be deadline-dropped,
+// or win the race.
 func (s *sim) hedgeFire(ev event) {
 	fr := s.frames[ev.fid]
 	if fr == nil || fr.done || fr.hedged {
 		return
 	}
-	if float64(s.counts.Hedged+1) > s.hedgeBudget*float64(s.counts.Offered) {
+	if !s.hedge.Allow(s.shed.Level(), s.counts.Hedged, s.counts.Offered) {
 		return
 	}
 	id := s.reenqueue(fr, ev.fid, true)
@@ -683,24 +668,6 @@ func (s *sim) hedgeFire(ev event) {
 	fr.pending++
 	s.counts.Hedged++
 	s.dispatch(id)
-}
-
-// observeCalm mirrors serve.observeLoad's hysteresis step-up.
-func (s *sim) observeCalm(e *simEngine) {
-	if e.fill() > s.ladderLow {
-		e.calm = 0
-		return
-	}
-	if e.tier == 0 {
-		return
-	}
-	e.calm++
-	if e.calm < s.ladderHyst {
-		return
-	}
-	e.tier--
-	e.stepUps++
-	e.calm = 0
 }
 
 // complete finishes one attempt: latency accounting, ladder calm
@@ -726,7 +693,7 @@ func (s *sim) complete(ev event) {
 			}
 		}
 		s.resolveAttempt(ev.fid, &s.counts.FailedStall)
-		s.observeCalm(e)
+		e.ladder.Observe(e.n)
 		s.dispatch(int(ev.eng))
 		return
 	}
@@ -737,30 +704,37 @@ func (s *sim) complete(ev event) {
 	s.counts.Degraded[ev.tier]++
 	s.tDone[ev.tenant]++
 	s.classes[ev.prio].Completed++
-	s.observeCalm(e)
+	e.ladder.Observe(e.n)
 	s.dispatch(int(ev.eng))
+}
+
+// step advances the virtual clock to the next event and processes it.
+func (s *sim) step() {
+	ev := s.events.pop()
+	s.now = ev.at
+	switch ev.kind {
+	case evArrival:
+		s.arrive()
+		s.scheduleArrival()
+	case evComplete:
+		s.complete(ev)
+	case evStallFree:
+		s.stallFree(ev)
+	case evHedge:
+		s.hedgeFire(ev)
+	case evRetry:
+		s.retryFire(ev)
+	}
 }
 
 func (s *sim) run() (Metrics, error) {
 	s.scheduleArrival()
 	for len(s.events) > 0 {
-		ev := s.events.pop()
-		s.now = ev.at
-		switch ev.kind {
-		case evArrival:
-			s.arrive()
-			s.scheduleArrival()
-		case evComplete:
-			s.complete(ev)
-		case evStallFree:
-			s.stallFree(ev)
-		case evHedge:
-			s.hedgeFire(ev)
-		}
+		s.step()
 	}
 	for i := range s.engines {
-		s.counts.StepDowns += s.engines[i].stepDowns
-		s.counts.StepUps += s.engines[i].stepUps
+		s.counts.StepDowns += s.engines[i].ladder.StepDowns()
+		s.counts.StepUps += s.engines[i].ladder.StepUps()
 	}
 	st := s.shed.Stats()
 	s.counts.ShedRaises = st.Raises

@@ -1,15 +1,21 @@
 // Package loadgen is the deterministic fleet traffic harness (DESIGN.md
-// §13): an open-loop, discrete-event simulation of the serving fleet's
-// control plane — the *same* consistent-hash ring, per-tenant token buckets
-// and shed controller the live router runs (internal/serve), driven in
-// virtual time by a seeded PRNG and an injected clock. Arrivals are
-// heavy-tailed (Pareto inter-arrival times), modulated by a diurnal ramp
-// schedule, and spread across tenants by a Zipf skew; engine service times
-// per degradation tier come from a calibration measurement or a pinned
-// spec, so a run's every admit/shed/degrade decision is a pure function of
-// (spec, seed): same seed ⇒ bit-identical counts, which is what lets the
-// overload benchmarks and the tests built on them assert exact outcomes at
-// million-arrival scale with zero wall-clock sleeps.
+// §13): an open-loop, discrete-event simulation of the serving fleet that
+// drives serve's own policy code — the consistent-hash ring, per-tenant
+// token buckets, shed controller, degradation Ladder, hedge gate
+// (HedgePolicy.Allow) and retry rule (RetryPolicy.Next) — in virtual time,
+// from a seeded PRNG and an injected clock. Only frame execution is
+// modelled. Arrivals are heavy-tailed (Pareto inter-arrival times),
+// modulated by a diurnal ramp schedule, and spread across tenants by a Zipf
+// skew; engine service times per degradation tier come from a calibration
+// measurement or a pinned spec, so a run's every admit/shed/degrade
+// decision is a pure function of (spec, seed): same seed ⇒ bit-identical
+// counts, which is what lets the overload benchmarks and the tests built on
+// them assert exact outcomes at million-arrival scale with zero wall-clock
+// sleeps.
+//
+// The sim's one remaining known divergence from the router: a retry that
+// finds every candidate queue full fails its frame instead of being retried
+// again as the router's retryable ErrQueueFull would be.
 package loadgen
 
 import (
@@ -74,13 +80,8 @@ type Spec struct {
 
 	// Service model: SvcTiers[t] is the per-frame service time at
 	// degradation tier t (t = 0 full fidelity). len(SvcTiers) fixes the
-	// ladder depth.
+	// depth of each engine's serve.Ladder.
 	SvcTiers []time.Duration
-
-	// Engine degradation ladder (mirrors serve.Config semantics).
-	LadderHigh float64 // queue-fill step-down watermark; default 0.75
-	LadderLow  float64 // calm watermark; default 0.25
-	LadderHyst int     // consecutive calm completions to step up; default 4
 
 	// Fleet shed controller (serve.ShedConfig fields).
 	ShedHigh float64
@@ -95,14 +96,14 @@ type Spec struct {
 	VNodes   int           // ring vnodes per engine
 	Spill    int           // extra ring candidates on queue-full
 
-	// Survivability model (mirrors serve.RetryPolicy / HedgePolicy and the
-	// stall watchdog; DESIGN.md §15). StallFrac > 0 injects worker stalls: a
-	// stalled attempt wedges its worker until the watchdog reclaims it at
-	// StallTimeout. Retries re-dispatches a stalled frame on the next ring
-	// candidate up to Retries times (deadline-budget-aware). HedgeDelay > 0
-	// launches a duplicate attempt on the next candidate when the primary has
-	// not resolved after the delay; first completion wins, capped at
-	// HedgeBudget × offered hedges.
+	// Survivability model (DESIGN.md §15). StallFrac > 0 injects worker
+	// stalls: a stalled attempt wedges its worker until the modelled stall
+	// watchdog reclaims it at StallTimeout. Retries is serve.RetryPolicy.Max:
+	// a stalled frame is re-dispatched on the next ring candidate after the
+	// policy's jittered backoff, within the deadline budget. HedgeDelay and
+	// HedgeBudget are serve.HedgePolicy's Delay and MaxFraction: a duplicate
+	// attempt launches on the next candidate when the stalled primary has not
+	// resolved after the delay, first completion wins.
 	StallFrac    float64       // fraction of dispatched attempts that stall, [0,1]
 	StallTimeout time.Duration // watchdog reclaim delay; 0: 4× SvcTiers[0]
 	Retries      int           // max re-dispatches of a stalled frame, [0,8]
@@ -128,9 +129,6 @@ func Defaults() Spec {
 		Engines:     4,
 		Workers:     2,
 		SvcTiers:    []time.Duration{2 * time.Millisecond, 1500 * time.Microsecond, 1100 * time.Microsecond, 850 * time.Microsecond, 700 * time.Microsecond},
-		LadderHigh:  0.75,
-		LadderLow:   0.25,
-		LadderHyst:  4,
 		QoSRate:     0,
 		QoSBurst:    0,
 		VNodes:      128,
@@ -215,15 +213,6 @@ func (s *Spec) Validate() error {
 			return specErr("svc", d.String(), "tier service times must be in (0, 1m]")
 		}
 	}
-	if !(s.LadderHigh >= 0) || s.LadderHigh > 1 {
-		return specErr("ladder-high", fmt.Sprint(s.LadderHigh), "watermark must be in [0, 1]")
-	}
-	if !(s.LadderLow >= 0) || (s.LadderHigh > 0 && s.LadderLow >= s.LadderHigh) {
-		return specErr("ladder-low", fmt.Sprint(s.LadderLow), "must be >= 0 and below ladder-high")
-	}
-	if s.LadderHyst < 0 || s.LadderHyst > 1<<20 {
-		return specErr("ladder-hyst", fmt.Sprint(s.LadderHyst), "must be in [0, 1048576]")
-	}
 	if !(s.ShedHigh >= 0) || s.ShedHigh > 1 {
 		return specErr("shed-high", fmt.Sprint(s.ShedHigh), "watermark must be in [0, 1]")
 	}
@@ -291,7 +280,7 @@ func (s *Spec) capacity() float64 {
 }
 
 // queueDepth is the per-engine queue depth after defaulting (4× workers,
-// mirroring serve.Config).
+// serve.Config's default).
 func (s *Spec) queueDepth() int {
 	if s.Queue > 0 {
 		return s.Queue
@@ -306,10 +295,10 @@ func (s *Spec) queueDepth() int {
 //	"rate=500;mult-independent fields...;ramp=0:1,0.5:2,1:1;svc=2ms,1ms;mix=0.2,0.5,0.3"
 //
 // Recognized keys: seed, duration, rate, alpha, ramp, tenants, zipf,
-// streams, mix, engines, workers, queue, svc, ladder-high, ladder-low,
-// ladder-hyst, shed-high, shed-low, shed-hyst, qos-rate, qos-burst,
-// deadline, vnodes, spill, stall-frac, stall-timeout, retries,
-// hedge-delay, hedge-budget. Every failure is a *SpecError.
+// streams, mix, engines, workers, queue, svc, shed-high, shed-low,
+// shed-hyst, qos-rate, qos-burst, deadline, vnodes, spill, stall-frac,
+// stall-timeout, retries, hedge-delay, hedge-budget. Every failure is a
+// *SpecError.
 func ParseSpec(s string, base Spec) (Spec, error) {
 	out := base
 	for _, pair := range strings.Split(s, ";") {
@@ -377,12 +366,6 @@ func (s *Spec) set(k, v string) error {
 			return err
 		}
 		s.SvcTiers = tiers
-	case "ladder-high":
-		return parseFloatField(k, v, &s.LadderHigh)
-	case "ladder-low":
-		return parseFloatField(k, v, &s.LadderLow)
-	case "ladder-hyst":
-		return parseIntField(k, v, &s.LadderHyst)
 	case "shed-high":
 		return parseFloatField(k, v, &s.ShedHigh)
 	case "shed-low":

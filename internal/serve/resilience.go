@@ -33,14 +33,14 @@ func (e *Engine) runProtected(w *worker, r *request, batchSize, tier int) (panic
 }
 
 // failRequest delivers a failure for a request that has not yet received a
-// result. The deliver CAS makes it safe to call from recover paths and
+// result. The claim CAS makes it safe to call from recover paths and
 // concurrently with the stall watchdog: whoever claims the request first
 // wins, so the cap-1 reply channel can never wedge on a second send.
 func (e *Engine) failRequest(w *worker, r *request, batchSize, tier int, err error) {
-	if r == nil {
+	if !r.claim() {
 		return
 	}
-	r.deliver(Result{Err: err, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)})
+	r.reply <- Result{Err: err, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)}
 }
 
 // notePanic records the most recent panic's worker, value and stack for
@@ -147,7 +147,7 @@ func (e *Engine) lastResort(w *worker) {
 	err := fmt.Errorf("%w: worker %d (outside frame execution): %v", ErrPanic, w.id, v)
 	for i, r := range w.batch {
 		if r != nil {
-			e.failRequest(w, r, len(w.batch), int(e.tier.Load()), err)
+			e.failRequest(w, r, len(w.batch), e.ladder.Tier(), err)
 			w.batch[i] = nil
 		}
 	}
@@ -165,66 +165,4 @@ func (e *Engine) lastResort(w *worker) {
 	e.slots[w.id].Store(nw)
 	e.wg.Add(1)
 	go e.workerLoop(nw)
-}
-
-// currentTier loads the ladder position, clamped to the configured rungs.
-//
-//edgepc:hotpath
-func (e *Engine) currentTier() int {
-	t := int(e.tier.Load())
-	if t < 0 {
-		return 0
-	}
-	if t >= e.numTiers {
-		return e.numTiers - 1
-	}
-	return t
-}
-
-// maybeStepDown runs on the Submit path after every successful enqueue:
-// when the queue has filled past the high watermark the engine steps one
-// tier down so workers start draining faster, instead of letting the next
-// submitter hit ErrQueueFull. The CAS keeps concurrent submitters from
-// double-stepping past the pressure they jointly observed.
-func (e *Engine) maybeStepDown() {
-	if e.numTiers == 1 {
-		return
-	}
-	if len(e.queue) < e.highN {
-		return
-	}
-	t := e.tier.Load()
-	if int(t) >= e.numTiers-1 {
-		return
-	}
-	if e.tier.CompareAndSwap(t, t+1) {
-		e.stepDowns.Add(1)
-		e.calm.Store(0)
-	}
-}
-
-// observeLoad runs on the worker path after every batch: Hysteresis
-// consecutive observations of a queue at or below the low watermark step
-// one tier back up. The hysteresis gap (lowN well under highN plus the
-// consecutive-calm requirement) keeps the ladder from oscillating when load
-// hovers at a watermark.
-func (e *Engine) observeLoad() {
-	if e.numTiers == 1 {
-		return
-	}
-	if len(e.queue) > e.lowN {
-		e.calm.Store(0)
-		return
-	}
-	t := e.tier.Load()
-	if t == 0 {
-		return
-	}
-	if int(e.calm.Add(1)) < e.cfg.Hysteresis {
-		return
-	}
-	if e.tier.CompareAndSwap(t, t-1) {
-		e.stepUps.Add(1)
-	}
-	e.calm.Store(0)
 }

@@ -317,13 +317,13 @@ func TestLastResortRespawnsWorker(t *testing.T) {
 func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	gate := make(chan struct{})
 	tier1 := Tier{Name: "half-window", Nets: []pipeline.Net{&stubNet{gate: gate}}}
+	// Depth 12 under the ladder's constants: steps down at queue length 9
+	// (0.75·12) and counts calm at queue length ≤ 3 (0.25·12).
+	const depth, queued = 12, 9
 	e, err := New([]pipeline.Net{&stubNet{gate: gate}}, nil, edgesim.Config{}, Config{
-		QueueDepth:    4,
-		MaxBatch:      1,
-		Degrade:       []Tier{tier1},
-		HighWatermark: 0.5,  // steps down at queue length 2
-		LowWatermark:  0.25, // calm at queue length ≤ 1
-		Hysteresis:    2,
+		QueueDepth: depth,
+		MaxBatch:   1,
+		Degrade:    []Tier{tier1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	defer e.Close()
 	cloud := testCloud()
 	var wg sync.WaitGroup
-	tiers := make(chan int, 3)
+	tiers := make(chan int, 1+queued)
 	submit := func() {
 		defer wg.Done()
 		res, err := e.Submit(context.Background(), Request{Cloud: cloud})
@@ -346,18 +346,23 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	wg.Add(1)
 	go submit()
 	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Batches == 1 })
-	// B then C fill the queue to the high watermark; the crossing submit
-	// steps the ladder down.
-	wg.Add(1)
-	go submit()
-	waitUntil(t, "B to queue", func() bool { return e.Stats().QueueLen == 1 })
+	// Nine more frames fill the queue to the high watermark; the crossing
+	// submit steps the ladder down.
+	for i := 1; i < queued; i++ {
+		wg.Add(1)
+		go submit()
+		waitUntil(t, "frame to queue", func() bool { return e.Stats().QueueLen == i })
+		if e.Stats().StepDowns != 0 {
+			t.Fatalf("stepped down at queue length %d, want %d", i, queued)
+		}
+	}
 	wg.Add(1)
 	go submit()
 	waitUntil(t, "ladder to step down", func() bool { return e.Stats().StepDowns == 1 })
 	if e.Stats().Tier != 1 {
 		t.Fatalf("tier = %d after step-down, want 1", e.Stats().Tier)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 1+queued; i++ {
 		gate <- struct{}{}
 	}
 	wg.Wait()
@@ -366,7 +371,7 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	for tr := range tiers {
 		got = append(got, tr)
 	}
-	// A ran at full fidelity; B and C were served degraded.
+	// A ran at full fidelity; the queued frames were served degraded.
 	zeros, ones := 0, 0
 	for _, tr := range got {
 		switch tr {
@@ -378,17 +383,17 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 			t.Fatalf("unexpected tier %d in %v", tr, got)
 		}
 	}
-	if zeros != 1 || ones != 2 {
-		t.Fatalf("tiers %v, want one full-fidelity and two degraded", got)
+	if zeros != 1 || ones != queued {
+		t.Fatalf("tiers %v, want one full-fidelity and %d degraded", got, queued)
 	}
-	// Draining B and C left the queue calm for two consecutive batches —
-	// hysteresis satisfied, ladder stepped back up.
+	// The last four batches of the drain left the queue calm (3, 2, 1, 0
+	// frames queued) — hysteresis satisfied, ladder stepped back up.
 	s := e.Stats()
 	if s.Tier != 0 || s.StepUps != 1 {
 		t.Fatalf("tier=%d stepUps=%d after drain, want 0/1", s.Tier, s.StepUps)
 	}
-	if s.Degraded[0] != 1 || s.Degraded[1] != 2 {
-		t.Fatalf("Degraded = %v, want [1 2]", s.Degraded)
+	if s.Degraded[0] != 1 || s.Degraded[1] != queued {
+		t.Fatalf("Degraded = %v, want [1 %d]", s.Degraded, queued)
 	}
 	// Recovery is live: the next frame serves at full fidelity again.
 	done := make(chan Result, 1)

@@ -76,6 +76,34 @@ func (p *HedgePolicy) normalize() {
 	}
 }
 
+// Next is the retry decision, driven by the router on the wall clock and by
+// the loadgen simulator on its virtual clock. After a failed attempt of
+// submission seq, with `attempt` re-attempts already made, it returns the
+// backoff and whether to retry: only a retryable err, only while attempt <
+// Max, and only if the backoff ends before deadline (zero: none).
+func (p RetryPolicy) Next(err error, attempt int, seq uint64, now, deadline time.Time) (time.Duration, bool) {
+	p.normalize()
+	if attempt >= p.Max || !retryable(err) {
+		return 0, false
+	}
+	d := retryBackoff(&p, attempt, seq)
+	if !deadline.IsZero() && deadline.Sub(now) <= d {
+		return 0, false
+	}
+	return d, true
+}
+
+// Allow is the hedge gate, called by the router and the loadgen simulator
+// at a hedge's launch point: never while the fleet shed controller is
+// engaged, and only if one more hedge stays within MaxFraction of offered.
+func (p HedgePolicy) Allow(shedLevel int, hedges, offered uint64) bool {
+	if shedLevel > 0 {
+		return false
+	}
+	p.normalize()
+	return float64(hedges+1) <= p.MaxFraction*float64(offered)
+}
+
 // retryable reports whether a failed attempt may be re-routed: only
 // failures that say "this engine, right now" — a panicked or stalled worker,
 // or a full queue — can succeed elsewhere. Everything else is terminal.
@@ -104,29 +132,10 @@ func (rt *Router) submitSurvivable(ctx context.Context, cand []int, req FleetReq
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	attempts := 1
-	if rt.retry != nil {
-		attempts += rt.retry.Max
-	}
 	span := 1 + rt.cfg.Spill
 	var res Result
 	var err error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			d := retryBackoff(rt.retry, a-1, seq)
-			if !deadline.IsZero() && time.Until(deadline) <= d {
-				return res, err // budget exhausted: the last failure stands
-			}
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return res, err
-			}
-			timer.Stop()
-			rt.retries.Add(1)
-		}
+	for a := 0; ; a++ {
 		areq := req
 		if !deadline.IsZero() {
 			rem := time.Until(deadline)
@@ -136,11 +145,22 @@ func (rt *Router) submitSurvivable(ctx context.Context, cand []int, req FleetReq
 			areq.Timeout = rem
 		}
 		res, err = rt.attempt(ctx, cand, a, span, areq)
-		if err == nil || !retryable(err) {
+		if err == nil || rt.retry == nil {
 			return res, err
 		}
+		d, ok := rt.retry.Next(err, a, seq, time.Now(), deadline)
+		if !ok {
+			return res, err // terminal, out of attempts, or out of budget
+		}
+		timer := time.NewTimer(d)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return res, err
+		}
+		rt.retries.Add(1)
 	}
-	return res, err
 }
 
 // attempt runs one (possibly hedged) attempt starting at ring candidate
@@ -226,13 +246,10 @@ func (rt *Router) hedgeDelay() time.Duration {
 	return snap.P99
 }
 
-// canHedge gates hedge launches: never while the shed controller is
-// engaged, and never past the MaxFraction budget of offered traffic.
+// canHedge applies the hedge gate (HedgePolicy.Allow) to the router's live
+// shed level and counters.
 func (rt *Router) canHedge() bool {
-	if rt.shed.Level() > 0 {
-		return false
-	}
-	return float64(rt.hedges.Load()+1) <= rt.hedge.MaxFraction*float64(rt.offered.Load())
+	return rt.hedge.Allow(rt.shed.Level(), rt.hedges.Load(), rt.offered.Load())
 }
 
 // retryBackoff is the jittered exponential backoff before re-attempt

@@ -114,18 +114,9 @@ type Config struct {
 
 	// Degrade is the degradation ladder: Degrade[i] serves tier i+1 (tier 0
 	// is the full-fidelity replica set given to New). Empty disables
-	// degradation — overload then rejects with ErrQueueFull as before.
+	// degradation — overload then rejects with ErrQueueFull as before. The
+	// step-down and step-up thresholds are the Ladder's constants.
 	Degrade []Tier
-	// HighWatermark is the queue-fill fraction at which the engine steps one
-	// tier down. Default 0.75.
-	HighWatermark float64
-	// LowWatermark is the queue-fill fraction at or below which a batch
-	// counts as calm; Hysteresis consecutive calm batches step one tier back
-	// up. Default HighWatermark/3.
-	LowWatermark float64
-	// Hysteresis is the number of consecutive calm batches required before
-	// stepping a tier back up. Default 4.
-	Hysteresis int
 
 	// PanicTrip is the number of consecutive panics on one worker that trip
 	// its circuit breaker. Default 3.
@@ -175,15 +166,6 @@ func (c *Config) defaults(workers int) {
 	}
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = DefaultMaxPoints
-	}
-	if c.HighWatermark <= 0 || c.HighWatermark > 1 {
-		c.HighWatermark = 0.75
-	}
-	if c.LowWatermark <= 0 || c.LowWatermark >= c.HighWatermark {
-		c.LowWatermark = c.HighWatermark / 3
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 4
 	}
 	if c.PanicTrip <= 0 {
 		c.PanicTrip = 3
@@ -252,22 +234,22 @@ type request struct {
 	deadline time.Time // zero: no deadline
 	enq      time.Time
 	reply    chan Result // buffered (cap 1): workers never block on delivery
-	done     atomic.Bool // result delivered; CAS-claimed (see deliver)
+	done     atomic.Bool // outcome claimed; see claim
 }
 
-// deliver claims the request and sends res, reporting whether this caller
-// won the claim. Exactly one deliverer ever wins — the serving worker, the
-// stall watchdog, or a recover path — which is what keeps the cap-1 reply
-// channel from wedging and guarantees no request is double-completed when a
-// watchdog fails a batch a zombie worker later finishes.
+// claim takes ownership of the request's outcome, reporting whether this
+// caller won. Exactly one claimant ever wins — the serving worker, the
+// stall watchdog, a recover path, or the submitter whose context lapsed —
+// and only the winner counts the frame and, unless it is the submitter,
+// sends the result. That keeps the cap-1 reply channel from wedging and
+// guarantees no frame is counted twice when a watchdog fails a batch a
+// zombie worker later finishes, or a worker finishes a frame its submitter
+// already abandoned. Winners update counters before they send, so a caller
+// that has its result never reads Stats lagging behind it.
 //
 //edgepc:hotpath
-func (r *request) deliver(res Result) bool {
-	if r == nil || !r.done.CompareAndSwap(false, true) {
-		return false
-	}
-	r.reply <- res
-	return true
+func (r *request) claim() bool {
+	return r.done.CompareAndSwap(false, true)
 }
 
 // worker is one goroutine incarnation of a pool slot: a private net replica
@@ -311,8 +293,7 @@ type Engine struct {
 	faults  *faultinject.Plan
 
 	numTiers int // 1 + len(cfg.Degrade)
-	highN    int // queue length that steps the ladder down
-	lowN     int // queue length at or below which a batch counts as calm
+	ladder   *Ladder
 
 	mu     sync.RWMutex // guards closed against concurrent queue sends
 	closed bool
@@ -329,10 +310,6 @@ type Engine struct {
 	batches   atomic.Uint64
 	frames    atomic.Uint64
 
-	tier        atomic.Int32 // current ladder rung
-	calm        atomic.Int32 // consecutive calm batches (hysteresis)
-	stepDowns   atomic.Uint64
-	stepUps     atomic.Uint64
 	degraded    []atomic.Uint64 // completed frames per tier
 	panics      atomic.Uint64
 	quarantines atomic.Uint64
@@ -387,14 +364,10 @@ func New(nets []pipeline.Net, dev *edgesim.Device, sim edgesim.Config, cfg Confi
 		closing:  make(chan struct{}),
 		faults:   cfg.Faults,
 		numTiers: 1 + len(cfg.Degrade),
+		ladder:   NewLadder(1+len(cfg.Degrade), cfg.QueueDepth),
 		latency:  metrics.NewLatencyWindow(cfg.LatencyWindow),
 	}
 	e.degraded = make([]atomic.Uint64, e.numTiers)
-	e.highN = int(cfg.HighWatermark*float64(cfg.QueueDepth) + 0.5)
-	if e.highN < 1 {
-		e.highN = 1
-	}
-	e.lowN = int(cfg.LowWatermark * float64(cfg.QueueDepth))
 	e.slots = make([]atomic.Pointer[worker], len(nets))
 	for i, n := range nets {
 		tiers := make([]pipeline.Net, 1, e.numTiers)
@@ -440,8 +413,9 @@ func (e *Engine) QueueFill() float64 {
 // blocks: an invalid frame returns ErrInvalidInput, a full queue
 // ErrQueueFull, and a closed engine ErrClosed, all immediately. The wait for
 // the result is bounded by the request deadline (or ctx); cancelling ctx
-// abandons the frame — a worker will still skip past it but no result is
-// delivered.
+// abandons the frame — unless a worker already claimed its outcome, in
+// which case that outcome is returned, so a frame is never both served and
+// reported cancelled.
 func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -496,14 +470,20 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		return Result{}, ErrQueueFull
 	}
 	e.submitted.Add(1)
-	e.maybeStepDown()
+	e.ladder.Enqueued(len(e.queue))
 
 	select {
 	case res := <-r.reply:
 		return res, res.Err
 	case <-ctx.Done():
-		e.canceled.Add(1)
-		return Result{}, ctx.Err()
+		if r.claim() {
+			e.canceled.Add(1)
+			return Result{}, ctx.Err()
+		}
+		// A worker or the watchdog claimed the frame first; its send is
+		// already on the way.
+		res := <-r.reply
+		return res, res.Err
 	}
 }
 
@@ -605,7 +585,7 @@ func (e *Engine) runBatch(w *worker) {
 	n := len(w.batch)
 	e.batches.Add(1)
 	e.frames.Add(uint64(n))
-	tier := e.currentTier()
+	tier := e.ladder.Tier()
 	// Publish the in-flight batch and start the heartbeat so the stall
 	// watchdog can see (and fail) exactly these requests if we wedge. The
 	// publish copies into a private slice under liveMu: the worker keeps
@@ -646,7 +626,7 @@ func (e *Engine) runBatch(w *worker) {
 	w.liveMu.Lock()
 	w.live = w.live[:0]
 	w.liveMu.Unlock()
-	e.observeLoad()
+	e.ladder.Observe(len(e.queue))
 }
 
 // runFrame is the per-frame worker hot loop: deadline/cancellation gate,
@@ -659,16 +639,14 @@ func (e *Engine) runBatch(w *worker) {
 func (e *Engine) runFrame(w *worker, r *request, batchSize, tier int) {
 	now := time.Now()
 	w.beat.Store(now.UnixNano()) // frame-start heartbeat for the watchdog
-	if r.ctx.Err() != nil {
-		// Submitter is gone (counted in canceled at Submit); deliver into
-		// the buffered channel for the record and move on.
-		r.deliver(Result{Err: r.ctx.Err(), Worker: w.id, BatchSize: batchSize, Tier: tier})
+	if err := r.ctx.Err(); err != nil {
+		// The submitter's context lapsed; unless the submitter already
+		// claimed the frame, report the lapse on its behalf.
+		e.finish(r, Result{Err: err, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.canceled)
 		return
 	}
 	if !r.deadline.IsZero() && now.After(r.deadline) {
-		if e.finish(r, Result{Err: ErrDeadline, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}) {
-			e.timedOut.Add(1)
-		}
+		e.finish(r, Result{Err: ErrDeadline, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.timedOut)
 		return
 	}
 	if e.faults != nil {
@@ -681,31 +659,30 @@ func (e *Engine) runFrame(w *worker, r *request, batchSize, tier int) {
 	}
 	rep, out, err := pipeline.RunInto(w.nets[tier], r.cloud, &w.trace, e.dev, e.sim)
 	if err != nil {
-		if e.finish(r, Result{Err: fmt.Errorf("serve: worker %d: %w", w.id, err), Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}) {
-			e.failed.Add(1)
-		}
+		e.finish(r, Result{Err: fmt.Errorf("serve: worker %d: %w", w.id, err), Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.failed)
 		return
 	}
-	if e.finish(r, Result{Output: out, Report: rep, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}) {
-		e.completed.Add(1)
-		e.degraded[tier].Add(1)
-	}
+	e.finish(r, Result{Output: out, Report: rep, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.completed)
 }
 
-// finish stamps the end-to-end latency and delivers the result (never
-// blocking: the reply channel is buffered and read at most once). It
-// reports whether this caller won the delivery — counters must only move
-// for the winner, so a zombie worker finishing a batch the watchdog
-// already failed cannot double-count frames.
+// finish claims the request, stamps the end-to-end latency, moves the
+// outcome's counter (and, for a served frame, its tier's), then sends the
+// result — never blocking: the reply channel is buffered and sent to only
+// by the claim's winner. A loser changes nothing, so a zombie worker
+// finishing a batch the watchdog already failed cannot double-count frames.
 //
 //edgepc:hotpath
-func (e *Engine) finish(r *request, res Result) bool {
-	res.Total = time.Since(r.enq)
-	if !r.deliver(res) {
-		return false
+func (e *Engine) finish(r *request, res Result, count *atomic.Uint64) {
+	if !r.claim() {
+		return
 	}
+	res.Total = time.Since(r.enq)
 	e.latency.Observe(res.Total)
-	return true
+	count.Add(1)
+	if res.Err == nil {
+		e.degraded[res.Tier].Add(1)
+	}
+	r.reply <- res
 }
 
 // Close stops admission, wakes any breaker-parked worker, drains every
@@ -779,9 +756,9 @@ func (e *Engine) Stats() Stats {
 		BreakerTrips: e.trips.Load(),
 		Stalls:       e.stalls.Load(),
 		Respawns:     e.respawns.Load(),
-		Tier:         int(e.tier.Load()),
-		StepDowns:    e.stepDowns.Load(),
-		StepUps:      e.stepUps.Load(),
+		Tier:         e.ladder.Tier(),
+		StepDowns:    e.ladder.StepDowns(),
+		StepUps:      e.ladder.StepUps(),
 		Batches:      e.batches.Load(),
 		Frames:       e.frames.Load(),
 		Latency:      e.latency.Snapshot(),

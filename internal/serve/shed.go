@@ -11,8 +11,8 @@ import (
 // traffic. The two mechanisms are kept from fighting by construction:
 //
 //   - the shed high watermark (default 0.55) sits well below the ladder's
-//     (default 0.75), so as load rises the fleet sheds low-priority frames
-//     first and only degrades if pressure keeps climbing;
+//     (0.75, see ladder.go), so as load rises the fleet sheds low-priority
+//     frames first and only degrades if pressure keeps climbing;
 //   - both controllers carry their own hysteresis (consecutive-calm
 //     requirements against watermarks separated by a wide gap), so neither
 //     oscillates when load hovers near a threshold, and a shed step-down

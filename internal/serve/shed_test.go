@@ -79,9 +79,7 @@ func TestShedEngagesBelowLadderWatermark(t *testing.T) {
 	if s.Level() != 1 {
 		t.Fatal("0.6 fill must engage shedding")
 	}
-	var cfg Config
-	cfg.defaults(1)
-	if cfg.HighWatermark <= 0.6 {
-		t.Fatalf("ladder watermark %.2f not above shed onset 0.6; mechanisms would fight", cfg.HighWatermark)
+	if ladderHigh <= 0.6 {
+		t.Fatalf("ladder watermark %.2f not above shed onset 0.6; mechanisms would fight", ladderHigh)
 	}
 }

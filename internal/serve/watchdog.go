@@ -128,21 +128,21 @@ func (e *Engine) depose(w *worker) {
 }
 
 // failStalledBatch fails every request the wedged worker published for its
-// current batch. Delivery goes through the per-request CAS, so a zombie
+// current batch. Delivery goes through the per-request claim, so a zombie
 // that unsticks mid-loop cannot double-complete anything and the stall
-// counter moves only for requests this call actually claimed.
+// counter moves only for requests this call actually claimed — before the
+// send, so the failed caller already sees it in Stats.
 func (e *Engine) failStalledBatch(w *worker) {
 	err := fmt.Errorf("%w: worker %d stuck past %v", ErrStalled, w.id, e.cfg.StallTimeout)
-	tier := e.currentTier()
+	tier := e.ladder.Tier()
 	w.liveMu.Lock()
 	n := len(w.live)
 	for _, r := range w.live {
-		if r == nil {
+		if r == nil || !r.claim() {
 			continue
 		}
-		if r.deliver(Result{Err: err, Worker: w.id, BatchSize: n, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)}) {
-			e.stalls.Add(1)
-		}
+		e.stalls.Add(1)
+		r.reply <- Result{Err: err, Worker: w.id, BatchSize: n, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)}
 	}
 	w.liveMu.Unlock()
 }

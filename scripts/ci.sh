@@ -61,10 +61,16 @@ echo "== chaos smoke (fault injection under -race; see DESIGN.md §11, §15) =="
 # degradation ladder stepping both ways, stalled workers detected and
 # respawned, retries/hedges conserving the accounting under a stall storm —
 # exercised under the race detector.
-go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerPark|TestLastResort|TestDegradation|TestAdmission|TestCorruptInjection|TestDelayAndStall|TestFleetChaos|TestStall|TestBreakerBackoffJitterPinned|TestRetry|TestHedge|TestRouterSurvivability' ./internal/serve/
+go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerPark|TestLastResort|TestDegradation|TestLadder|TestAdmission|TestCorruptInjection|TestDelayAndStall|TestFleetChaos|TestStall|TestBreakerBackoffJitterPinned|TestRetry|TestHedge|TestRouterSurvivability' ./internal/serve/
+go test -race -run 'TestSimLaunchesNoHedgeWhileShedding' ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzSubmitFrame$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzLoadgenConfig$' -fuzztime 5s ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
+
+echo "== delivery-claim stress (formerly flaky; see DESIGN.md §15) =="
+# Exactly one side claims each frame and counters move before the reply is
+# sent; these three tests caught the two ways that used to break.
+go test -race -run 'TestServeRaceStress$|TestStallWatchdogDetectsAndRespawns$|TestStallWithoutRebuildFailsBatchInPlace$' -count=50 ./internal/serve/
 
 echo "== backend parity (golden suite under each compute backend) =="
 # The two compute backends are a contract: pin the registry by name so a
